@@ -30,7 +30,6 @@ from .aslt import (
     parse_source,
     print_source,
     read_aslt,
-    render_tree,
     tokenize,
     write_aslt,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "read_aslt",
     "render_json",
     "render_properties",
-    "render_tree",
     "resolve_argument_type",
     "run_analysis",
     "scan_classfiles",

@@ -306,43 +306,39 @@ def get_all_method_calls(
     """
     calls: list[CallSite] = []
 
+    def add(
+        node: AsltNode,
+        scope: Scope,
+        receiver: TypeName | Unresolved,
+        invoked_name: str,
+        arguments: tuple[AsltNode, ...],
+        expected: TypeName | Unconstrained,
+    ) -> None:
+        calls.append(
+            CallSite(
+                caller_class=scope.class_name,
+                caller_method=scope.method_name,
+                receiver_class=receiver,
+                invoked_name=invoked_name,
+                argument_types=tuple(
+                    resolve_argument_type(a, bindings, classes, scope) for a in arguments
+                ),
+                expected_return=expected,
+                location=_location(node),
+            )
+        )
+        for argument in arguments:
+            visit(argument, scope, UNCONSTRAINED)
+
     def visit(node: AsltNode, scope: Scope, expected: TypeName | Unconstrained) -> None:
         if node.kind == aslt.METHOD_INVOKE_EXPRESSION:
-            arguments = node.children[-1] if node.children else None
-            argument_nodes = arguments.children if arguments is not None else ()
-            calls.append(
-                CallSite(
-                    caller_class=scope.class_name,
-                    caller_method=scope.method_name,
-                    receiver_class=_resolve_receiver(node, bindings, classes, scope),
-                    invoked_name=node.attributes.get("name", ""),
-                    argument_types=tuple(
-                        resolve_argument_type(a, bindings, classes, scope) for a in argument_nodes
-                    ),
-                    expected_return=expected,
-                    location=_location(node),
-                )
-            )
-            for argument in argument_nodes:
-                visit(argument, scope, UNCONSTRAINED)
+            receiver = _resolve_receiver(node, bindings, classes, scope)
+            arguments = node.children[-1].children if node.children else ()
+            add(node, scope, receiver, node.attributes.get("name", ""), arguments, expected)
         elif node.kind == aslt.NEW_OBJECT_EXPRESSION and len(node.children) == 2:
             type_node, arguments = node.children
-            calls.append(
-                CallSite(
-                    caller_class=scope.class_name,
-                    caller_method=scope.method_name,
-                    receiver_class=source_type_name(type_node),
-                    invoked_name=CONSTRUCTOR_NAME,
-                    argument_types=tuple(
-                        resolve_argument_type(a, bindings, classes, scope)
-                        for a in arguments.children
-                    ),
-                    expected_return=UNCONSTRAINED,
-                    location=_location(node),
-                )
-            )
-            for argument in arguments.children:
-                visit(argument, scope, UNCONSTRAINED)
+            receiver = source_type_name(type_node)
+            add(node, scope, receiver, CONSTRUCTOR_NAME, arguments.children, UNCONSTRAINED)
 
     def visit_statement(node: AsltNode, scope: Scope) -> None:
         if node.kind == aslt.VARIABLE_DECLARATION and node.children:

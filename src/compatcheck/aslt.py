@@ -77,10 +77,6 @@ NODE_KINDS = frozenset(
     }
 )
 
-EXPRESSION_KINDS = frozenset(
-    {IDENTIFIER_EXPRESSION, LITERAL_TAG, METHOD_INVOKE_EXPRESSION, NEW_OBJECT_EXPRESSION}
-)
-
 PRIMITIVE_TYPE_KEYWORDS = frozenset(
     {"int", "long", "short", "byte", "char", "boolean", "float", "double", "void"}
 )
@@ -88,6 +84,12 @@ PRIMITIVE_TYPE_KEYWORDS = frozenset(
 KEYWORDS = frozenset(
     {"package", "class", "extends", "implements", "static", "return", "new"}
 ) | PRIMITIVE_TYPE_KEYWORDS
+
+# Deepest node level (the root is level 0) that the parser and the .aslt
+# reader accept.  Recursive walks over a tree, node equality and repr
+# included, take at most four frames per level, so the bound keeps every one
+# of them well under the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 LITERAL_CATEGORIES = {
     "integer-literal": "integer",
@@ -154,9 +156,6 @@ class AsltNode:
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
 
-    def attr(self, name: str, default: str | None = None) -> str | None:
-        return self.attributes.get(name, default)
-
     def first(self, kind: str) -> "AsltNode | None":
         for child in self.children:
             if child.kind == kind:
@@ -216,6 +215,7 @@ def tokenize(source: str) -> list[Token]:
         if c == "/" and source.startswith("//", i):
             while i < n and source[i] != "\n":
                 i += 1
+                column += 1
             continue
         if c == "/" and source.startswith("/*", i):
             start_line, start_column = line, column
@@ -354,6 +354,11 @@ class _Parser:
             message or f"unexpected {got!r}", token.line, token.column, frozenset(expected)
         )
 
+    def check_depth(self, depth: int) -> None:
+        if depth > MAX_DEPTH:
+            token = self.peek()
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", token.line, token.column)
+
     def span_from(self, start: Token) -> Span:
         return Span(self.file_name, start.line, start.column, self.last.line, self.last.end_column)
 
@@ -413,16 +418,10 @@ class _Parser:
             return self.method_rest(start, static, declared, name)
         if static:
             self.fail({"'('"}, "only methods may be static")
-        if declared.attributes["name"] == "void":
-            raise ParseError(
-                "void is only valid as a method return type",
-                start.line,
-                start.column,
-                frozenset({"type name"}),
-            )
+        self.reject_void(declared, start)
         initializer: tuple[AsltNode, ...] = ()
         if self.accept("operator", "="):
-            initializer = (self.expression(),)
+            initializer = (self.expression(3),)
         self.expect("punctuation", ";")
         return AsltNode(
             FIELD_DECLARATION, {"name": name}, (declared,) + initializer, self.span_from(start)
@@ -446,6 +445,11 @@ class _Parser:
     def parameter(self) -> AsltNode:
         start = self.peek()
         declared = self.type_reference()
+        self.reject_void(declared, start)
+        name = self.expect("identifier").lexeme
+        return AsltNode(PARAMETER_DECLARATION, {"name": name}, (declared,), self.span_from(start))
+
+    def reject_void(self, declared: AsltNode, start: Token) -> None:
         if declared.attributes["name"] == "void":
             raise ParseError(
                 "void is only valid as a method return type",
@@ -453,8 +457,6 @@ class _Parser:
                 start.column,
                 frozenset({"type name"}),
             )
-        name = self.expect("identifier").lexeme
-        return AsltNode(PARAMETER_DECLARATION, {"name": name}, (declared,), self.span_from(start))
 
     def type_reference(self) -> AsltNode:
         start = self.peek()
@@ -497,7 +499,7 @@ class _Parser:
         start = self.peek()
         if start.category == END_OF_INPUT or start.lexeme == "}":
             self.fail({"statement"})
-        expression = self.expression()
+        expression = self.expression(5)
         self.expect("punctuation", ";")
         return AsltNode(EXPRESSION_STATEMENT, {}, (expression,), self.span_from(start))
 
@@ -532,7 +534,7 @@ class _Parser:
         name = self.expect("identifier").lexeme
         initializer: tuple[AsltNode, ...] = ()
         if self.accept("operator", "="):
-            initializer = (self.expression(),)
+            initializer = (self.expression(6),)
         return AsltNode(VARIABLE_DECLARATOR, {"name": name}, initializer, self.span_from(start))
 
     def assignment_statement(self) -> AsltNode:
@@ -542,7 +544,7 @@ class _Parser:
             IDENTIFIER_EXPRESSION, {"name": target_token.lexeme}, (), self.span_from(target_token)
         )
         self.expect("operator", "=")
-        value = self.expression()
+        value = self.expression(6)
         assignment = AsltNode(
             SIMPLE_ASSIGNMENT_EXPRESSION, {}, (target, value), self.span_from(start)
         )
@@ -553,21 +555,27 @@ class _Parser:
         start = self.expect("keyword", "return")
         value: tuple[AsltNode, ...] = ()
         if not self.at("punctuation", ";"):
-            value = (self.expression(),)
+            value = (self.expression(5),)
         self.expect("punctuation", ";")
         return AsltNode(RETURN_STATEMENT, {}, value, self.span_from(start))
 
-    def expression(self) -> AsltNode:
+    def expression(self, depth: int) -> AsltNode:
+        """An expression whose node sits ``depth`` levels below the root.
+
+        Statements are at level 4 (unit, class, method, block), so their
+        expressions start at level 5 or 6; a field initializer is at 3.
+        """
+        self.check_depth(depth)
         token = self.peek()
         if token.category in LITERAL_CATEGORIES:
             self.advance()
             attributes = {"value": token.lexeme, "category": LITERAL_CATEGORIES[token.category]}
             return AsltNode(LITERAL_TAG, attributes, (), self.span_from(token))
         if self.at("keyword", "new"):
-            return self.new_expression()
+            return self.new_expression(depth)
         if self.at("identifier"):
             if self.peek(1).lexeme == "(":
-                return self.invocation(receiver=None)
+                return self.invocation(depth, receiver=None)
             if (
                 self.peek(1).lexeme == "."
                 and self.peek(2).category == "identifier"
@@ -581,16 +589,18 @@ class _Parser:
                     self.span_from(receiver_token),
                 )
                 self.advance()  # '.'
-                return self.invocation(receiver=receiver, start=receiver_token)
+                return self.invocation(depth, receiver=receiver, start=receiver_token)
             name_token = self.advance()
             return AsltNode(
                 IDENTIFIER_EXPRESSION, {"name": name_token.lexeme}, (), self.span_from(name_token)
             )
         return self.fail({"expression"})
 
-    def invocation(self, receiver: AsltNode | None, start: Token | None = None) -> AsltNode:
+    def invocation(
+        self, depth: int, receiver: AsltNode | None, start: Token | None = None
+    ) -> AsltNode:
         name_token = self.expect("identifier")
-        arguments = self.argument_list()
+        arguments = self.argument_list(depth + 1)
         children = (receiver, arguments) if receiver is not None else (arguments,)
         return AsltNode(
             METHOD_INVOKE_EXPRESSION,
@@ -599,25 +609,26 @@ class _Parser:
             self.span_from(start or name_token),
         )
 
-    def new_expression(self) -> AsltNode:
+    def new_expression(self, depth: int) -> AsltNode:
         start = self.expect("keyword", "new")
         declared = self.type_reference()
         if declared.attributes["name"] == "void" or "dims" in declared.attributes:
             raise ParseError(
                 "object creation needs a plain class type", start.line, start.column
             )
-        arguments = self.argument_list()
+        arguments = self.argument_list(depth + 1)
         return AsltNode(
             NEW_OBJECT_EXPRESSION, {}, (declared, arguments), self.span_from(start)
         )
 
-    def argument_list(self) -> AsltNode:
+    def argument_list(self, depth: int) -> AsltNode:
+        self.check_depth(depth)
         start = self.expect("punctuation", "(")
         arguments: list[AsltNode] = []
         if not self.at("punctuation", ")"):
-            arguments.append(self.expression())
+            arguments.append(self.expression(depth + 1))
             while self.accept("punctuation", ","):
-                arguments.append(self.expression())
+                arguments.append(self.expression(depth + 1))
         self.expect("punctuation", ")")
         return AsltNode(ARGUMENT_LIST, {}, tuple(arguments), self.span_from(start))
 
@@ -876,6 +887,8 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
         indent = len(raw) - len(raw.lstrip(" "))
         if indent % 2:
             raise AsltFormatError(line_number, "indentation must be a multiple of two spaces")
+        if indent // 2 > MAX_DEPTH:
+            raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
         kind, attributes = _parse_aslt_line(raw[indent:], line_number)
         entries.append((indent // 2, kind, attributes, line_number, len(raw)))
     if not entries:
@@ -904,25 +917,3 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     if position != len(entries):
         raise AsltFormatError(entries[position][3], "more than one root node")
     return root
-
-
-# ---------------------------------------------------------------------------
-# Debug outline
-# ---------------------------------------------------------------------------
-
-def render_tree(tree: AsltNode, debug_level: int) -> str:
-    """Outline of every node, one line each; empty below debug level 2."""
-    if debug_level < 2:
-        return ""
-    lines: list[str] = []
-
-    def walk(node: AsltNode, depth: int) -> None:
-        parts = ["  " * depth + node.kind]
-        for name in sorted(node.attributes):
-            parts.append(f"{name}={node.attributes[name]!r}")
-        lines.append(" ".join(parts))
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree, 0)
-    return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ ACC_STATIC = 0x0008
 ACC_SUPER = 0x0020
 
 CONSTRUCTOR_NAME = "<init>"
-CLASS_INITIALIZER_NAME = "<clinit>"
 
 PRIMITIVE_TYPES = frozenset(
     {"int", "long", "short", "byte", "char", "boolean", "float", "double"}
@@ -115,22 +114,6 @@ class TypeName:
             raise ValueError("array dimension count must be >= 0")
         if self.name == "void" and self.dims:
             raise ValueError("void cannot be an array element type")
-
-    @property
-    def is_void(self) -> bool:
-        return self.name == "void" and self.dims == 0
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.dims == 0 and self.name in PRIMITIVE_TYPES
-
-    @property
-    def is_reference(self) -> bool:
-        return self.dims == 0 and not self.is_primitive and self.name != "void"
-
-    @property
-    def is_array(self) -> bool:
-        return self.dims > 0
 
     def __str__(self) -> str:
         return self.name + "[]" * self.dims
@@ -557,7 +540,7 @@ def scan_classfiles(
     if not root.is_dir():
         raise FileNotFoundError(f"not a readable directory: {root}")
     paths = sorted(
-        (path for path in _walk_files(root) if path.name.endswith(extension)),
+        (path for path in walk_files(root) if path.name.endswith(extension)),
         key=lambda p: p.relative_to(root).as_posix(),
     )
     infos: list[ClassInfo] = []
@@ -571,7 +554,8 @@ def scan_classfiles(
     return infos, diagnostics
 
 
-def _walk_files(root: Path):
+def walk_files(root: Path):
+    """Every file below ``root``, in ``os.walk`` order."""
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
             yield Path(dirpath) / name

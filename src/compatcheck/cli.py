@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from .classfile import (
     FieldMember,
     MethodSignature,
     emit_classfile,
+    walk_files,
 )
 from .config import (
     ConfigError,
@@ -55,12 +55,6 @@ class AnalysisRun:
     exit_code: int = EXIT_OK
 
 
-def _project_files(root: Path):
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for name in filenames:
-            yield Path(dirpath) / name
-
-
 def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
     """Scan the project, convert sources, and run the comparison pipeline.
 
@@ -83,7 +77,7 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
 
     source_paths: list[Path] = []
     aslt_paths: list[Path] = []
-    for path in sorted(_project_files(root), key=lambda p: p.relative_to(root).as_posix()):
+    for path in sorted(walk_files(root), key=lambda p: p.relative_to(root).as_posix()):
         if path.name.endswith(SOURCE_EXTENSION):
             source_paths.append(path)
         elif path.name.endswith(config.aslt_file_extension):
@@ -101,7 +95,11 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
         trees[relative] = tree
         sibling = path.with_suffix(config.aslt_file_extension)
         if not sibling.exists():
-            sibling.write_text(aslt.write_aslt(tree), encoding="utf-8")
+            try:
+                sibling.write_text(aslt.write_aslt(tree), encoding="utf-8")
+            except OSError as exc:
+                sibling_name = sibling.relative_to(root).as_posix()
+                parse_diagnostics.append(Diagnostic(sibling_name, f"cannot write: {exc}"))
     for path in aslt_paths:
         if path.with_suffix(SOURCE_EXTENSION).exists():
             continue  # the source was (or will be) analysed directly
@@ -187,7 +185,8 @@ def show_all_errors(run: AnalysisRun) -> str:
     """Text rendering of every report, plus the configured debug dumps.
 
     Level 0 prints report blocks and the summary only; level 1 appends the
-    essential information per class; level 2 additionally dumps every tree.
+    essential information per class; level 2 additionally dumps every tree
+    in ``.aslt`` form.
     """
     lines: list[str] = []
     for report in run.reports:
@@ -204,7 +203,7 @@ def show_all_errors(run: AnalysisRun) -> str:
         for name in sorted(run.aslt_trees):
             lines.append("")
             lines.append(f"aslt {name}:")
-            lines.append(aslt.render_tree(run.aslt_trees[name], 2).rstrip("\n"))
+            lines.append(aslt.write_aslt(run.aslt_trees[name]).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,6 @@ from compatcheck.aslt import (
     parse_source,
     print_source,
     read_aslt,
-    render_tree,
     tokenize,
     write_aslt,
 )
@@ -90,6 +89,15 @@ def test_tokenize_unterminated_string():
 def test_tokenize_unterminated_block_comment():
     with pytest.raises(LexicalError):
         tokenize("/* never ends")
+
+
+@pytest.mark.parametrize("comment", ["// open", "/* c */"])
+def test_end_of_input_column_follows_a_trailing_comment(comment):
+    source = "class A { " + comment
+    assert tokenize(source)[-1].column == len(source) + 1
+    with pytest.raises(ParseError) as exc:
+        parse_source(source)
+    assert (exc.value.line, exc.value.column) == (1, 18)
 
 
 def test_tokenize_illegal_character():
@@ -415,26 +423,44 @@ def test_read_error_carries_line_number():
 
 
 # ---------------------------------------------------------------------------
-# render_tree
+# Nesting bound
 # ---------------------------------------------------------------------------
 
-def test_render_tree_silent_below_level_two():
-    tree = parse_source("class A {}")
-    assert render_tree(tree, 0) == ""
-    assert render_tree(tree, 1) == ""
+def nested_calls(levels: int) -> str:
+    """A call statement whose deepest node is ``4 + 2 * levels`` levels down."""
+    return "class A { void m() { " + "f(" * levels + ")" * levels + "; } }"
 
 
-def test_render_tree_single_node():
-    out = render_tree(AsltNode(aslt.COMPILATION_UNIT, {"file": "X"}), 2)
-    assert out.count("\n") == 1
-    assert out.startswith("CompilationUnit")
+def deepest_level(tree: AsltNode) -> int:
+    lines = write_aslt(tree).splitlines()
+    return max((len(line) - len(line.lstrip(" "))) // 2 for line in lines)
 
 
-def test_render_tree_line_count_equals_node_count():
-    tree = parse_source(SAMPLE_CALLER, file_name="S.java")
-    out = render_tree(tree, 2)
-    node_count = sum(1 for _ in iter_nodes(tree))
-    assert len(out.strip("\n").split("\n")) == node_count
+def blocks(levels: int) -> str:
+    return "".join("  " * depth + "Block\n" for depth in range(levels + 1))
+
+
+def test_parse_accepts_nesting_at_the_bound():
+    tree = parse_source(nested_calls((aslt.MAX_DEPTH - 4) // 2))
+    assert deepest_level(tree) == aslt.MAX_DEPTH
+    assert read_aslt(write_aslt(tree)) == tree
+
+
+@pytest.mark.parametrize("levels", [(aslt.MAX_DEPTH - 4) // 2 + 1, 2000])
+def test_parse_rejects_nesting_past_the_bound(levels):
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_source(nested_calls(levels))
+
+
+def test_read_accepts_nesting_at_the_bound():
+    assert deepest_level(read_aslt(blocks(aslt.MAX_DEPTH))) == aslt.MAX_DEPTH
+
+
+@pytest.mark.parametrize("levels", [aslt.MAX_DEPTH + 1, 3000])
+def test_read_rejects_nesting_past_the_bound(levels):
+    with pytest.raises(AsltFormatError, match="nesting deeper than") as exc:
+        read_aslt(blocks(levels))
+    assert exc.value.line_number == aslt.MAX_DEPTH + 2
 
 
 def test_node_constructor_rejects_unknown_kind():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,61 @@ def test_preexisting_aslt_used_when_no_source(tmp_path):
     assert run.exit_code == 1
 
 
+def test_too_deep_files_become_diagnostics(testbed):
+    (testbed / "Deep.java").write_text(
+        "class Deep { void m() { " + "f(" * 2000 + ")" * 2000 + "; } }", encoding="utf-8"
+    )
+    (testbed / "Indented.aslt").write_text(
+        "".join("  " * depth + "Block\n" for depth in range(3000)), encoding="utf-8"
+    )
+    run = run_analysis(_config_for(testbed))
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [
+        ("Deep.java", False),
+        ("Indented.aslt", False),
+    ]
+    assert all("nesting deeper than" in d.message for d in run.diagnostics)
+    assert sorted(run.aslt_trees) == ["SampleClassA.java", "SampleClassB.java", "TestBed.java"]
+    assert run.exit_code == 0
+
+
+def test_trees_at_the_nesting_bound_pass_the_pipeline(testbed):
+    levels = (aslt.MAX_DEPTH - 4) // 2  # the deepest ArgumentList sits at MAX_DEPTH
+    source = "class Deep { void m() { " + "f(" * levels + ")" * levels + "; } }"
+    (testbed / "Deep.java").write_text(source, encoding="utf-8")
+    tree = aslt.parse_source(source, file_name="DeepTree.java")
+    (testbed / "DeepTree.aslt").write_text(aslt.write_aslt(tree), encoding="utf-8")
+    run = run_analysis(_config_for(testbed, debug_level=2))
+    assert run.diagnostics == []
+    assert len(run.aslt_trees) == 5
+    assert sum(1 for call in run.call_sites if call.invoked_name == "f") == 2 * levels
+    text = show_all_errors(run)
+    assert f"{'  ' * aslt.MAX_DEPTH}ArgumentList\n" in text
+    assert json.loads(render_json(run))["summary"]["error_count"] == len(run.reports)
+
+
+def test_failed_sibling_write_is_a_diagnostic(testbed, monkeypatch):
+    expected_calls = len(run_analysis(_config_for(testbed)).call_sites)
+    for path in testbed.glob("*.aslt"):
+        path.unlink()
+    original = Path.write_text
+
+    def write_text(self, *args, **kwargs):
+        if self.suffix == ".aslt":
+            raise PermissionError(13, "Permission denied", str(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    run = run_analysis(_config_for(testbed))
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [
+        ("SampleClassA.aslt", False),
+        ("SampleClassB.aslt", False),
+        ("TestBed.aslt", False),
+    ]
+    assert all(d.message.startswith("cannot write: ") for d in run.diagnostics)
+    assert len(run.call_sites) == expected_calls
+    assert run.exit_code == 0
+
+
 def test_widening_flag_reaches_comparison(tmp_path):
     (tmp_path / "A.java").write_text(
         "class A { void m() { B b = new B(); b.f(5); } }", encoding="utf-8"
@@ -208,9 +264,11 @@ def test_debug_level_one_appends_class_information(testbed):
 def test_debug_level_two_dumps_trees(testbed):
     run = run_analysis(_config_for(testbed, debug_level=2))
     text = show_all_errors(run)
-    assert "aslt SampleClassA.java:" in text
-    for kind in {n.kind for t in run.aslt_trees.values() for n in aslt.iter_nodes(t)}:
-        assert kind in text
+    blocks = text.split("\n\naslt ")[1:]
+    assert [block.split(":\n", 1)[0] for block in blocks] == sorted(run.aslt_trees)
+    for block in blocks:
+        name, dump = block.split(":\n", 1)
+        assert dump.rstrip("\n") + "\n" == aslt.write_aslt(run.aslt_trees[name])
 
 
 def test_json_rendering_matches_text_report_set(testbed):
