@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from . import aslt
 from .aslt import AsltNode
@@ -99,6 +100,12 @@ class VariableBinding:
     scope: Scope
 
 
+# (class, method or None for fields, variable name) -> binding.
+BindingIndex = dict[tuple[str, str | None, str], VariableBinding]
+# Qualified name -> class.
+ClassIndex = dict[str, ClassInfo]
+
+
 @dataclass(frozen=True)
 class CallSite:
     """One method invocation with everything the comparison needs."""
@@ -155,6 +162,12 @@ def source_type_name(node: AsltNode) -> TypeName:
     return TypeName(canonical_name(name), dims)
 
 
+def _declared_type(node: AsltNode) -> TypeName | None:
+    """Type named by a declaration's or ``new``'s TypeReference child, if any."""
+    type_node = node.first(aslt.TYPE_REFERENCE)
+    return source_type_name(type_node) if type_node is not None else None
+
+
 def get_class_infos(config: ProjectConfig) -> tuple[list[ClassInfo], list[Diagnostic]]:
     """Collect the compiled surface of every component under the project path."""
     return scan_classfiles(config.path_to_application, config.class_file_extension)
@@ -191,50 +204,60 @@ def get_all_variables_types(tree: AsltNode) -> tuple[list[VariableBinding], list
         class_scope = Scope(class_node.attributes.get("name", ""))
         for member in class_node.children:
             if member.kind == aslt.FIELD_DECLARATION:
-                type_node = member.first(aslt.TYPE_REFERENCE)
-                if type_node is not None:
-                    add(member.attributes.get("name", ""), source_type_name(type_node), class_scope)
+                declared = _declared_type(member)
+                if declared is not None:
+                    add(member.attributes.get("name", ""), declared, class_scope)
             elif member.kind == aslt.METHOD_DECLARATION:
                 scope = Scope(class_scope.class_name, member.attributes.get("name", ""))
                 for child in member.children:
                     if child.kind == aslt.PARAMETER_DECLARATION:
-                        type_node = child.first(aslt.TYPE_REFERENCE)
-                        if type_node is not None:
-                            add(child.attributes.get("name", ""), source_type_name(type_node), scope)
+                        declared = _declared_type(child)
+                        if declared is not None:
+                            add(child.attributes.get("name", ""), declared, scope)
                     elif child.kind == aslt.BLOCK:
                         for node in aslt.iter_nodes(child):
-                            if node.kind != aslt.VARIABLE_DECLARATION or not node.children:
+                            if node.kind != aslt.VARIABLE_DECLARATION:
                                 continue
-                            declared = source_type_name(node.children[0])
+                            declared = _declared_type(node)
+                            if declared is None:
+                                continue
                             for declarator in node.children[1:]:
                                 add(declarator.attributes.get("name", ""), declared, scope)
     return bindings, diagnostics
 
 
-def _lookup_binding(
-    name: str, bindings: list[VariableBinding], scope: Scope
-) -> VariableBinding | None:
-    """Innermost match: method scope first, then the class's fields."""
-    if scope.method_name is not None:
-        for binding in bindings:
-            if binding.variable_name == name and binding.scope == scope:
-                return binding
-    field_scope = Scope(scope.class_name)
+def index_bindings(bindings: Iterable[VariableBinding]) -> BindingIndex:
+    """Key every binding by (class, method or None for fields, name).
+
+    The first binding of a key, in project order, stands.
+    """
+    index: BindingIndex = {}
     for binding in bindings:
-        if binding.variable_name == name and binding.scope == field_scope:
-            return binding
-    return None
+        scope = binding.scope
+        index.setdefault((scope.class_name, scope.method_name, binding.variable_name), binding)
+    return index
 
 
-def _find_class(classes: list[ClassInfo], name: str) -> ClassInfo | None:
+def index_classes(classes: Iterable[ClassInfo]) -> ClassIndex:
+    """Key every class by qualified name; the first class of a name stands."""
+    index: ClassIndex = {}
     for info in classes:
-        if info.qualified_name == name:
-            return info
-    return None
+        index.setdefault(info.qualified_name, info)
+    return index
+
+
+def _lookup_binding(name: str, bindings: BindingIndex, scope: Scope) -> VariableBinding | None:
+    """Innermost match: method scope first, then the class's fields."""
+    binding = None
+    if scope.method_name is not None:
+        binding = bindings.get((scope.class_name, scope.method_name, name))
+    if binding is None:
+        binding = bindings.get((scope.class_name, None, name))
+    return binding
 
 
 def _resolve_receiver(
-    node: AsltNode, bindings: list[VariableBinding], classes: list[ClassInfo], scope: Scope
+    node: AsltNode, bindings: BindingIndex, classes: ClassIndex, scope: Scope
 ) -> TypeName | Unresolved:
     """Receiver of an invocation: a bound variable, a class (static call),
     or the enclosing class for bare calls."""
@@ -246,35 +269,34 @@ def _resolve_receiver(
     if binding is not None:
         return binding.declared_type
     class_name = canonical_name(name)
-    if _find_class(classes, class_name) is not None:
+    if class_name in classes:
         return TypeName(class_name)
     return UNRESOLVED
 
 
 def resolve_argument_type(
-    arg: AsltNode,
-    bindings: list[VariableBinding],
-    classes: list[ClassInfo],
-    scope: Scope,
+    arg: AsltNode, bindings: BindingIndex, classes: ClassIndex, scope: Scope
 ) -> TypeName | Unresolved:
     """Static type of an argument expression, or Unresolved.
 
-    Identifiers use the innermost binding; literals map to their category's
-    type; ``new T(...)`` is ``T``; a nested invocation resolves only when
-    its target signature is unique.
+    ``bindings`` and ``classes`` are the project's :func:`index_bindings`
+    and :func:`index_classes`, so every name costs one or two dictionary
+    lookups.  Identifiers use the innermost binding; literals map to their
+    category's type; ``new T(...)`` is ``T``; a nested invocation resolves
+    only when its target signature is unique.
     """
     if arg.kind == aslt.IDENTIFIER_EXPRESSION:
         binding = _lookup_binding(arg.attributes.get("name", ""), bindings, scope)
         return binding.declared_type if binding is not None else UNRESOLVED
     if arg.kind == aslt.LITERAL_TAG:
         return _LITERAL_TYPES.get(arg.attributes.get("category", ""), UNRESOLVED)
-    if arg.kind == aslt.NEW_OBJECT_EXPRESSION and arg.children:
-        return source_type_name(arg.children[0])
+    if arg.kind == aslt.NEW_OBJECT_EXPRESSION:
+        return _declared_type(arg) or UNRESOLVED
     if arg.kind == aslt.METHOD_INVOKE_EXPRESSION:
         receiver = _resolve_receiver(arg, bindings, classes, scope)
         if isinstance(receiver, Unresolved) or receiver.dims:
             return UNRESOLVED
-        info = _find_class(classes, receiver.name)
+        info = classes.get(receiver.name)
         if info is None:
             return UNRESOLVED
         name = arg.attributes.get("name", "")
@@ -296,9 +318,14 @@ def _location(node: AsltNode) -> Location:
 
 
 def get_all_method_calls(
-    tree: AsltNode, bindings: list[VariableBinding], classes: list[ClassInfo]
+    tree: AsltNode, bindings: BindingIndex, classes: ClassIndex
 ) -> list[CallSite]:
     """Every invocation (and object creation, as ``<init>``) in source order.
+
+    ``bindings`` and ``classes`` are built once per run by
+    :func:`index_bindings` over every tree's bindings and by
+    :func:`index_classes` over the scanned classes.  Extraction only looks
+    names up in them, so its cost per call does not grow with the project.
 
     The expected return type is taken from context: the declared type of an
     initialized declarator or field, or the bound type of an assignment's
@@ -336,13 +363,12 @@ def get_all_method_calls(
             arguments = node.children[-1].children if node.children else ()
             add(node, scope, receiver, node.attributes.get("name", ""), arguments, expected)
         elif node.kind == aslt.NEW_OBJECT_EXPRESSION and len(node.children) == 2:
-            type_node, arguments = node.children
-            receiver = source_type_name(type_node)
-            add(node, scope, receiver, CONSTRUCTOR_NAME, arguments.children, UNCONSTRAINED)
+            receiver = _declared_type(node) or UNRESOLVED
+            add(node, scope, receiver, CONSTRUCTOR_NAME, node.children[1].children, UNCONSTRAINED)
 
     def visit_statement(node: AsltNode, scope: Scope) -> None:
-        if node.kind == aslt.VARIABLE_DECLARATION and node.children:
-            declared = source_type_name(node.children[0])
+        if node.kind == aslt.VARIABLE_DECLARATION:
+            declared = _declared_type(node) or UNCONSTRAINED
             for declarator in node.children[1:]:
                 if declarator.children:
                     visit(declarator.children[0], scope, declared)
@@ -364,7 +390,7 @@ def get_all_method_calls(
         class_name = class_node.attributes.get("name", "")
         for member in class_node.children:
             if member.kind == aslt.FIELD_DECLARATION and len(member.children) == 2:
-                declared = source_type_name(member.children[0])
+                declared = _declared_type(member) or UNCONSTRAINED
                 visit(member.children[1], Scope(class_name), declared)
             elif member.kind == aslt.METHOD_DECLARATION:
                 scope = Scope(class_name, member.attributes.get("name", ""))
@@ -433,10 +459,7 @@ def method_called(
     UnresolvedArgument.  Constructor calls on classes that are not present
     are allowed silently.  Reports are ordered by location.
     """
-    by_name: dict[str, ClassInfo] = {}
-    for info in classes:
-        by_name.setdefault(info.qualified_name, info)
-
+    by_name = index_classes(classes)
     reports: list[MismatchReport] = []
     for call in calls:
         receiver = call.receiver_class

@@ -164,10 +164,12 @@ class AsltNode:
 
 
 def iter_nodes(tree: AsltNode) -> Iterator[AsltNode]:
-    """Preorder traversal."""
-    yield tree
-    for child in tree.children:
-        yield from iter_nodes(child)
+    """Preorder traversal, with an explicit stack instead of recursion."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 # ---------------------------------------------------------------------------
@@ -917,3 +919,27 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     if position != len(entries):
         raise AsltFormatError(entries[position][3], "more than one root node")
     return root
+
+
+def check_names(tree: AsltNode) -> None:
+    """Reject a tree with a class or type that the analysis cannot name.
+
+    :func:`read_aslt` accepts any attribute values, so that every tree round
+    trips; a tree read for analysis must pass this check as well.  The error
+    gives the line of the offending node, taken from its span.
+    """
+    for node in iter_nodes(tree):
+        if node.kind not in (CLASS_DECLARATION, TYPE_REFERENCE):
+            continue
+        line_number = node.span.start_line if node.span is not None else 0
+        name = node.attributes.get("name", "")
+        if not name:
+            raise AsltFormatError(line_number, f"a {node.kind} needs a non-empty name")
+        if node.kind == TYPE_REFERENCE:
+            dims = node.attributes.get("dims", "0")
+            if not (dims.isascii() and dims.isdigit()):
+                raise AsltFormatError(
+                    line_number, f"dims must be a non-negative integer, not {dims!r}"
+                )
+            if name == "void" and int(dims):
+                raise AsltFormatError(line_number, "void cannot be an array element type")

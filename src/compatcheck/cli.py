@@ -105,9 +105,12 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
             continue  # the source was (or will be) analysed directly
         relative = path.relative_to(root).as_posix()
         try:
-            trees[relative] = aslt.read_aslt(path.read_text(encoding="utf-8"), file_name=relative)
+            tree = aslt.read_aslt(path.read_text(encoding="utf-8"), file_name=relative)
+            aslt.check_names(tree)
         except (OSError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
+            continue
+        trees[relative] = tree
 
     # Parse failures are recoverable while at least one tree survives;
     # when nothing survives they abort the analysis and count as fatal.
@@ -123,9 +126,11 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
         tree_bindings, binding_diagnostics = analysis.get_all_variables_types(run.aslt_trees[name])
         bindings.extend(tree_bindings)
         run.diagnostics.extend(binding_diagnostics)
+    binding_index = analysis.index_bindings(bindings)
+    class_index = analysis.index_classes(run.class_infos)
     for name in sorted(run.aslt_trees):
         run.call_sites.extend(
-            analysis.get_all_method_calls(run.aslt_trees[name], bindings, run.class_infos)
+            analysis.get_all_method_calls(run.aslt_trees[name], binding_index, class_index)
         )
     run.reports = analysis.method_called(run.call_sites, run.class_infos, widening=widening)
 

@@ -12,8 +12,10 @@ from compatcheck.analysis import (
     CallSite,
     MismatchKind,
     MismatchReport,
+    Scope,
     Unconstrained,
     Unresolved,
+    VariableBinding,
 )
 from compatcheck.classfile import ClassInfo, TypeName
 
@@ -162,3 +164,26 @@ def oracle_reports(
 
     collected.sort(key=lambda r: (r.location.file, r.location.line, r.location.column))
     return collected
+
+
+def oracle_lookup_binding(
+    name: str, bindings: list[VariableBinding], scope: Scope
+) -> VariableBinding | None:
+    """Innermost binding by list scan: the method scope first, then the
+    class's fields; within a scope the first binding in project order wins."""
+    if scope.method_name is not None:
+        for binding in bindings:
+            if binding.variable_name == name and binding.scope == scope:
+                return binding
+    for binding in bindings:
+        if binding.variable_name == name and binding.scope == Scope(scope.class_name):
+            return binding
+    return None
+
+
+def oracle_find_class(classes: list[ClassInfo], name: str) -> ClassInfo | None:
+    """The first class with this qualified name, by list scan."""
+    for info in classes:
+        if info.qualified_name == name:
+            return info
+    return None

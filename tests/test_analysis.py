@@ -1,6 +1,6 @@
 import random
 
-from compatcheck import aslt
+from compatcheck import analysis, aslt
 from compatcheck.analysis import (
     UNCONSTRAINED,
     UNRESOLVED,
@@ -13,6 +13,8 @@ from compatcheck.analysis import (
     get_all_method_calls,
     get_all_variables_types,
     get_class_infos,
+    index_bindings,
+    index_classes,
     method_called,
     resolve_argument_type,
 )
@@ -26,7 +28,7 @@ from compatcheck.classfile import (
 )
 from compatcheck.config import ProjectConfig
 
-from oracles import oracle_reports
+from oracles import oracle_find_class, oracle_lookup_binding, oracle_reports
 from randgen import oracle_calls, oracle_classes
 
 STRING = TypeName("java.lang.String")
@@ -66,7 +68,7 @@ def _calls_for(source, classes, file_name="SampleClassA.java"):
     tree = parse_source(source, file_name=file_name)
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    return get_all_method_calls(tree, bindings, classes)
+    return get_all_method_calls(tree, index_bindings(bindings), index_classes(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +104,9 @@ def test_parameter_shadows_field_inside_method():
     bindings, _ = get_all_variables_types(tree)
     assert len(bindings) == 2
     argument = aslt.AsltNode(aslt.IDENTIFIER_EXPRESSION, {"name": "n"})
-    inside = resolve_argument_type(argument, bindings, [], Scope("A", "m"))
+    inside = resolve_argument_type(argument, index_bindings(bindings), {}, Scope("A", "m"))
     assert inside == STRING
-    at_class_level = resolve_argument_type(argument, bindings, [], Scope("A"))
+    at_class_level = resolve_argument_type(argument, index_bindings(bindings), {}, Scope("A"))
     assert at_class_level == INT
 
 
@@ -130,20 +132,20 @@ def _literal(value, category):
 
 def test_resolve_bound_identifier():
     bindings = [VariableBinding("str", STRING, Scope("A", "m"))]
-    assert resolve_argument_type(_ident("str"), bindings, [], Scope("A", "m")) == STRING
+    assert resolve_argument_type(_ident("str"), index_bindings(bindings), {}, Scope("A", "m")) == STRING
 
 
 def test_resolve_unbound_identifier():
-    assert resolve_argument_type(_ident("ghost"), [], [], Scope("A", "m")) is UNRESOLVED
+    assert resolve_argument_type(_ident("ghost"), {}, {}, Scope("A", "m")) is UNRESOLVED
 
 
 def test_resolve_literal_categories():
     scope = Scope("A", "m")
-    assert resolve_argument_type(_literal("5", "integer"), [], [], scope) == INT
-    assert resolve_argument_type(_literal("1.5", "floating"), [], [], scope) == TypeName("double")
-    assert resolve_argument_type(_literal('"x"', "string"), [], [], scope) == STRING
-    assert resolve_argument_type(_literal("'x'", "char"), [], [], scope) == TypeName("char")
-    assert resolve_argument_type(_literal("true", "boolean"), [], [], scope) == TypeName("boolean")
+    assert resolve_argument_type(_literal("5", "integer"), {}, {}, scope) == INT
+    assert resolve_argument_type(_literal("1.5", "floating"), {}, {}, scope) == TypeName("double")
+    assert resolve_argument_type(_literal('"x"', "string"), {}, {}, scope) == STRING
+    assert resolve_argument_type(_literal("'x'", "char"), {}, {}, scope) == TypeName("char")
+    assert resolve_argument_type(_literal("true", "boolean"), {}, {}, scope) == TypeName("boolean")
 
 
 def test_resolve_new_expression():
@@ -155,7 +157,7 @@ def test_resolve_new_expression():
             aslt.AsltNode(aslt.ARGUMENT_LIST),
         ),
     )
-    assert resolve_argument_type(node, [], [], Scope("A", "m")) == TypeName("SampleClassB")
+    assert resolve_argument_type(node, {}, {}, Scope("A", "m")) == TypeName("SampleClassB")
 
 
 def test_resolve_nested_invocation_unique_target():
@@ -166,7 +168,7 @@ def test_resolve_nested_invocation_unique_target():
         (_ident("b"), aslt.AsltNode(aslt.ARGUMENT_LIST)),
     )
     classes = [ClassInfo("SampleClassB", methods=(MethodSignature("getNumber", (), INT),))]
-    assert resolve_argument_type(node, bindings, classes, Scope("A", "m")) == INT
+    assert resolve_argument_type(node, index_bindings(bindings), index_classes(classes), Scope("A", "m")) == INT
 
 
 def test_resolve_nested_invocation_ambiguous_overload():
@@ -185,7 +187,7 @@ def test_resolve_nested_invocation_ambiguous_overload():
             ),
         )
     ]
-    assert resolve_argument_type(node, bindings, classes, Scope("A", "m")) is UNRESOLVED
+    assert resolve_argument_type(node, index_bindings(bindings), index_classes(classes), Scope("A", "m")) is UNRESOLVED
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +459,167 @@ def test_oracle_equivalence_random_projects():
             assert method_called(calls, classes, widening=widening) == oracle_reports(
                 calls, classes, widening
             )
+
+
+# ---------------------------------------------------------------------------
+# Symbol index
+# ---------------------------------------------------------------------------
+
+LOOKUP_CLASSES = ("A", "B", "p.A")
+LOOKUP_METHODS = ("m", "n", "o")
+LOOKUP_NAMES = ("x", "y", "z", "w")  # "w" is never bound
+LOOKUP_TYPES = (INT, STRING, TypeName("long"), TypeName("int", 1))
+
+
+def _random_project_bindings(rng):
+    """Bindings of several files in project order, as run_analysis collects
+    them: unique per scope within a file, repeated across files."""
+    bindings = []
+    for _ in range(rng.randrange(1, 5)):
+        seen = set()
+        for class_name in rng.sample(LOOKUP_CLASSES, rng.randrange(1, 3)):
+            for method in (None, *rng.sample(LOOKUP_METHODS, rng.randrange(0, 3))):
+                for name in rng.sample(LOOKUP_NAMES[:3], rng.randrange(0, 3)):
+                    scope = Scope(class_name, method)
+                    if (scope, name) not in seen:
+                        seen.add((scope, name))
+                        bindings.append(VariableBinding(name, rng.choice(LOOKUP_TYPES), scope))
+    return bindings
+
+
+def test_index_lookups_equal_the_list_scan_oracle():
+    # How often each case the index must get right occurred, to show that
+    # the random projects cover them all.
+    seen = dict.fromkeys(
+        ("repeated key", "shadowed field", "two methods", "field only", "miss", "repeated class"), 0
+    )
+    rng = random.Random(4041)
+    for _ in range(300):
+        bindings = _random_project_bindings(rng)
+        keys = {(b.scope.class_name, b.scope.method_name, b.variable_name) for b in bindings}
+        seen["repeated key"] += len(bindings) - len(keys)
+        for class_name, method, name in keys:
+            if method is not None:
+                seen["shadowed field"] += (class_name, None, name) in keys
+                seen["two methods"] += any(
+                    (class_name, other, name) in keys for other in LOOKUP_METHODS if other != method
+                )
+        index = index_bindings(bindings)
+        for class_name in LOOKUP_CLASSES + ("Z",):
+            for method in (None,) + LOOKUP_METHODS:
+                for name in LOOKUP_NAMES:
+                    scope = Scope(class_name, method)
+                    expected = oracle_lookup_binding(name, bindings, scope)
+                    assert analysis._lookup_binding(name, index, scope) is expected
+                    if expected is None:
+                        seen["miss"] += 1
+                    elif method is not None and expected.scope.method_name is None:
+                        seen["field only"] += 1
+
+        classes = [
+            ClassInfo(rng.choice(LOOKUP_CLASSES), source_file_name=f"{i}.class")
+            for i in range(rng.randrange(0, 6))
+        ]
+        class_index = index_classes(classes)
+        seen["repeated class"] += len(classes) - len(class_index)
+        for name in LOOKUP_CLASSES + ("Z",):
+            assert class_index.get(name) is oracle_find_class(classes, name)
+    assert all(seen.values()), seen
+
+
+class _KeyedOnly(dict):
+    """A mapping that answers keyed lookups and refuses to be scanned."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the index was scanned")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_extraction_does_keyed_lookups_only():
+    source = """class A {
+    int x;
+    B b = new B();
+    void m(int p) {
+        B local = new B();
+        int r = local.f(p, x);
+        r = b.f(r, 5);
+        B.g(local.h(), q);
+    }
+}
+class C {
+    String s;
+    void n() { A a = new A(); a.m(s); run(s); }
+}
+"""
+    tree = parse_source(source, file_name="A.java")
+    bindings, _ = get_all_variables_types(tree)
+    classes = [
+        ClassInfo("B", methods=(MethodSignature("f", (INT, INT), INT), MethodSignature("h", (), INT))),
+        ClassInfo("A"),
+    ]
+    expected = get_all_method_calls(tree, index_bindings(bindings), index_classes(classes))
+    guarded = get_all_method_calls(
+        tree, _KeyedOnly(index_bindings(bindings)), _KeyedOnly(index_classes(classes))
+    )
+    assert guarded == expected
+    assert [(str(c), c.argument_types) for c in guarded[2:5]] == [
+        ("B.f", (INT, INT)),
+        ("B.f", (INT, INT)),
+        ("B.g", (INT, UNRESOLVED)),
+    ]
+
+
+def _type(name, dims=None):
+    attributes = {"name": name} if dims is None else {"name": name, "dims": dims}
+    return aslt.AsltNode(aslt.TYPE_REFERENCE, attributes)
+
+
+def test_declarations_without_a_type_reference_are_skipped():
+    invoke = aslt.AsltNode(
+        aslt.METHOD_INVOKE_EXPRESSION,
+        {"name": "f"},
+        (_ident("b"), aslt.AsltNode(aslt.ARGUMENT_LIST, {}, (_ident("x"),))),
+    )
+    untyped_local = aslt.AsltNode(
+        aslt.VARIABLE_DECLARATION,
+        {},
+        (_literal("1", "integer"), aslt.AsltNode(aslt.VARIABLE_DECLARATOR, {"name": "y"}, (invoke,))),
+    )
+    method = aslt.AsltNode(
+        aslt.METHOD_DECLARATION,
+        {"name": "m"},
+        (_type("void"), aslt.AsltNode(aslt.BLOCK, {}, (untyped_local,))),
+    )
+    members = (
+        aslt.AsltNode(aslt.FIELD_DECLARATION, {"name": "x"}, (_type("int"),)),
+        aslt.AsltNode(aslt.FIELD_DECLARATION, {"name": "b"}, (_type("B"),)),
+        aslt.AsltNode(aslt.FIELD_DECLARATION, {"name": "u"}, (_literal("1", "integer"), invoke)),
+        aslt.AsltNode(
+            aslt.FIELD_DECLARATION,
+            {"name": "v"},
+            (
+                _type("B"),
+                aslt.AsltNode(aslt.NEW_OBJECT_EXPRESSION, {}, (_ident("B"), aslt.AsltNode(aslt.ARGUMENT_LIST))),
+            ),
+        ),
+        method,
+    )
+    tree = aslt.AsltNode(
+        aslt.COMPILATION_UNIT,
+        {"file": "A.aslt"},
+        (aslt.AsltNode(aslt.CLASS_DECLARATION, {"name": "A"}, members),),
+    )
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert diagnostics == []
+    assert [b.variable_name for b in bindings] == ["x", "b", "v"]
+    calls = get_all_method_calls(tree, index_bindings(bindings), {})
+    assert [(c.invoked_name, c.receiver_class, c.expected_return) for c in calls] == [
+        ("f", TypeName("B"), UNCONSTRAINED),
+        ("<init>", UNRESOLVED, UNCONSTRAINED),
+        ("f", TypeName("B"), UNCONSTRAINED),
+    ]
+    assert all(c.argument_types == (INT,) for c in calls if c.invoked_name == "f")
 
 
 # ---------------------------------------------------------------------------

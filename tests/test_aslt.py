@@ -463,6 +463,35 @@ def test_read_rejects_nesting_past_the_bound(levels):
     assert exc.value.line_number == aslt.MAX_DEPTH + 2
 
 
+def _recursive_preorder(node: AsltNode) -> list[AsltNode]:
+    nodes = [node]
+    for child in node.children:
+        nodes.extend(_recursive_preorder(child))
+    return nodes
+
+
+def test_iter_nodes_is_preorder_on_random_trees():
+    rng = random.Random(0x17E5)
+    for _ in range(200):
+        tree = random_serial_tree(rng) if rng.random() < 0.5 else random_program_tree(rng)
+        assert [id(n) for n in iter_nodes(tree)] == [id(n) for n in _recursive_preorder(tree)]
+
+
+def test_iter_nodes_reaches_the_bound():
+    tree = read_aslt(blocks(aslt.MAX_DEPTH))
+    nodes = list(iter_nodes(tree))
+    assert len(nodes) == aslt.MAX_DEPTH + 1
+    assert [id(n) for n in nodes] == [id(n) for n in _recursive_preorder(tree)]
+    assert nodes[-1].span.start_line == aslt.MAX_DEPTH + 1
+
+
+def test_check_names_accepts_parsed_trees():
+    aslt.check_names(read_aslt(write_aslt(parse_source("class A { int[][] a; void m(B b) { } }"))))
+    rng = random.Random(0xC4EC)
+    for _ in range(100):
+        aslt.check_names(random_program_tree(rng))
+
+
 def test_node_constructor_rejects_unknown_kind():
     with pytest.raises(ValueError):
         AsltNode("FreeFormKind")

@@ -206,6 +206,75 @@ def test_failed_sibling_write_is_a_diagnostic(testbed, monkeypatch):
     assert run.exit_code == 0
 
 
+BAD_TREE_SOURCE = "class Bad { int[] a; B b = new B(); void m() { b.f(a); } }"
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ('TypeReference dims="1"', 'TypeReference dims="x"', 4),
+        ('TypeReference dims="1"', 'TypeReference dims="-1"', 4),
+        ('TypeReference dims="1"', 'TypeReference dims="1e3"', 4),
+        ('TypeReference dims="1"', 'TypeReference dims=""', 4),
+        ('TypeReference dims="1"', 'TypeReference dims="\u0663"', 4),  # a non-ASCII digit
+        ('TypeReference dims="1" name="int"', 'TypeReference dims="1"', 4),
+        ('TypeReference name="B"', 'TypeReference name=""', 6),
+        ('TypeReference name="void"', 'TypeReference dims="2" name="void"', 11),
+        ('ClassDeclaration name="Bad"', "ClassDeclaration", 2),
+    ],
+)
+def test_malformed_type_in_aslt_is_a_diagnostic(testbed, old, new, line):
+    text = aslt.write_aslt(aslt.parse_source(BAD_TREE_SOURCE, file_name="Bad.java"))
+    (testbed / "Bad.aslt").write_text(text.replace(old, new, 1), encoding="utf-8")
+    run = run_analysis(_config_for(testbed))
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [("Bad.aslt", False)]
+    assert run.diagnostics[0].message.startswith(f"line {line}: ")
+    assert sorted(run.aslt_trees) == ["SampleClassA.java", "SampleClassB.java", "TestBed.java"]
+    assert run.exit_code == 0
+
+
+def test_field_without_leading_type_reference_is_analysed(testbed):
+    text = aslt.write_aslt(aslt.parse_source(BAD_TREE_SOURCE, file_name="Bad.java"))
+    lines = text.splitlines(keepends=True)
+    assert lines[5:9] == [
+        '      TypeReference name="B"\n',
+        "      NewObjectExpression\n",
+        '        TypeReference name="B"\n',
+        "        ArgumentList\n",
+    ]
+    lines[5:9] = lines[6:9] + lines[5:6]  # the initializer before the type
+    (testbed / "Bad.aslt").write_text("".join(lines), encoding="utf-8")
+    run = run_analysis(_config_for(testbed))
+    assert run.diagnostics == []
+    assert "Bad.aslt" in run.aslt_trees
+    bad_calls = [c for c in run.call_sites if c.location.file == "Bad.aslt"]
+    assert [(str(c), c.argument_types) for c in bad_calls] == [("B.f", (TypeName("int", 1),))]
+    assert [r.called_method for r in run.reports] == ["f"]  # B is not a scanned class
+
+
+def test_same_class_in_two_files_resolves_fields_from_the_first(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "A.java").write_text(
+        "class A { int x; void m() { B b = new B(); b.f(x); } }", encoding="utf-8"
+    )
+    (tmp_path / "b" / "A.java").write_text(
+        "class A { String x; void n() { B b = new B(); b.f(x); } }", encoding="utf-8"
+    )
+    from compatcheck.classfile import ClassInfo
+
+    b = ClassInfo(
+        "B",
+        methods=(MethodSignature("<init>", (), VOID), MethodSignature("f", (TypeName("int"),), VOID)),
+    )
+    (tmp_path / "B.class").write_bytes(emit_classfile(b))
+    run = run_analysis(ProjectConfig(path_to_application=tmp_path))
+    calls = [(c.location.file, c.argument_types) for c in run.call_sites if c.invoked_name == "f"]
+    assert calls == [("a/A.java", (TypeName("int"),)), ("b/A.java", (TypeName("int"),))]
+    assert run.reports == []
+    assert run.exit_code == 0
+
+
 def test_widening_flag_reaches_comparison(tmp_path):
     (tmp_path / "A.java").write_text(
         "class A { void m() { B b = new B(); b.f(5); } }", encoding="utf-8"
