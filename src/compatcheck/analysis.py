@@ -50,7 +50,7 @@ _LITERAL_TYPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unresolved:
     """A type the analyser could not determine statically."""
 
@@ -58,7 +58,7 @@ class Unresolved:
         return "Unresolved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unconstrained:
     """A call context that imposes no expected return type."""
 
@@ -70,7 +70,7 @@ UNRESOLVED = Unresolved()
 UNCONSTRAINED = Unconstrained()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scope:
     """Where a name is visible: a class, optionally narrowed to a method."""
 
@@ -83,7 +83,7 @@ class Scope:
         return self.class_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     file: str
     line: int
@@ -93,7 +93,7 @@ class Location:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableBinding:
     variable_name: str
     declared_type: TypeName
@@ -104,9 +104,12 @@ class VariableBinding:
 BindingIndex = dict[tuple[str, str | None, str], VariableBinding]
 # Qualified name -> class.
 ClassIndex = dict[str, ClassInfo]
+# An expression whose calls are still to be extracted, with its scope and
+# expected return type.
+_Pending = tuple[AsltNode, Scope, TypeName | Unconstrained]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallSite:
     """One method invocation with everything the comparison needs."""
 
@@ -131,7 +134,7 @@ class MismatchKind(Enum):
     UNRESOLVED_ARGUMENT = "UnresolvedArgument"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MismatchReport:
     """One incompatibility between a call and the called component.
 
@@ -331,16 +334,40 @@ def get_all_method_calls(
     initialized declarator or field, or the bound type of an assignment's
     left side; anywhere else it is unconstrained.
     """
-    calls: list[CallSite] = []
+    # Top-level expressions with their scope and expected return type, in
+    # source order.
+    roots: list[_Pending] = []
+    for class_node in tree.children:
+        if class_node.kind != aslt.CLASS_DECLARATION:
+            continue
+        class_name = class_node.attributes.get("name", "")
+        for member in class_node.children:
+            if member.kind == aslt.FIELD_DECLARATION and len(member.children) == 2:
+                declared = _declared_type(member) or UNCONSTRAINED
+                roots.append((member.children[1], Scope(class_name), declared))
+            elif member.kind == aslt.METHOD_DECLARATION:
+                scope = Scope(class_name, member.attributes.get("name", ""))
+                block = member.first(aslt.BLOCK)
+                if block is not None:
+                    for statement in block.children:
+                        _add_statement_roots(statement, scope, bindings, roots)
 
-    def add(
-        node: AsltNode,
-        scope: Scope,
-        receiver: TypeName | Unresolved,
-        invoked_name: str,
-        arguments: tuple[AsltNode, ...],
-        expected: TypeName | Unconstrained,
-    ) -> None:
+    # Preorder over the roots: a call comes before the calls in its arguments.
+    calls: list[CallSite] = []
+    stack = roots[::-1]
+    while stack:
+        node, scope, expected = stack.pop()
+        if node.kind == aslt.METHOD_INVOKE_EXPRESSION:
+            receiver = _resolve_receiver(node, bindings, classes, scope)
+            invoked_name = node.attributes.get("name", "")
+            arguments = node.children[-1].children if node.children else ()
+        elif node.kind == aslt.NEW_OBJECT_EXPRESSION and len(node.children) == 2:
+            receiver = _declared_type(node) or UNRESOLVED
+            invoked_name = CONSTRUCTOR_NAME
+            arguments = node.children[1].children
+            expected = UNCONSTRAINED
+        else:
+            continue
         calls.append(
             CallSite(
                 caller_class=scope.class_name,
@@ -354,51 +381,31 @@ def get_all_method_calls(
                 location=_location(node),
             )
         )
-        for argument in arguments:
-            visit(argument, scope, UNCONSTRAINED)
-
-    def visit(node: AsltNode, scope: Scope, expected: TypeName | Unconstrained) -> None:
-        if node.kind == aslt.METHOD_INVOKE_EXPRESSION:
-            receiver = _resolve_receiver(node, bindings, classes, scope)
-            arguments = node.children[-1].children if node.children else ()
-            add(node, scope, receiver, node.attributes.get("name", ""), arguments, expected)
-        elif node.kind == aslt.NEW_OBJECT_EXPRESSION and len(node.children) == 2:
-            receiver = _declared_type(node) or UNRESOLVED
-            add(node, scope, receiver, CONSTRUCTOR_NAME, node.children[1].children, UNCONSTRAINED)
-
-    def visit_statement(node: AsltNode, scope: Scope) -> None:
-        if node.kind == aslt.VARIABLE_DECLARATION:
-            declared = _declared_type(node) or UNCONSTRAINED
-            for declarator in node.children[1:]:
-                if declarator.children:
-                    visit(declarator.children[0], scope, declared)
-        elif node.kind == aslt.EXPRESSION_STATEMENT and node.children:
-            inner = node.children[0]
-            if inner.kind == aslt.SIMPLE_ASSIGNMENT_EXPRESSION and len(inner.children) == 2:
-                target, value = inner.children
-                binding = _lookup_binding(target.attributes.get("name", ""), bindings, scope)
-                expected = binding.declared_type if binding is not None else UNCONSTRAINED
-                visit(value, scope, expected)
-            else:
-                visit(inner, scope, UNCONSTRAINED)
-        elif node.kind == aslt.RETURN_STATEMENT and node.children:
-            visit(node.children[0], scope, UNCONSTRAINED)
-
-    for class_node in tree.children:
-        if class_node.kind != aslt.CLASS_DECLARATION:
-            continue
-        class_name = class_node.attributes.get("name", "")
-        for member in class_node.children:
-            if member.kind == aslt.FIELD_DECLARATION and len(member.children) == 2:
-                declared = _declared_type(member) or UNCONSTRAINED
-                visit(member.children[1], Scope(class_name), declared)
-            elif member.kind == aslt.METHOD_DECLARATION:
-                scope = Scope(class_name, member.attributes.get("name", ""))
-                block = member.first(aslt.BLOCK)
-                if block is not None:
-                    for statement in block.children:
-                        visit_statement(statement, scope)
+        for argument in reversed(arguments):
+            stack.append((argument, scope, UNCONSTRAINED))
     return calls
+
+
+def _add_statement_roots(
+    node: AsltNode, scope: Scope, bindings: BindingIndex, roots: list[_Pending]
+) -> None:
+    """Append the expressions of one statement that may hold calls."""
+    if node.kind == aslt.VARIABLE_DECLARATION:
+        declared = _declared_type(node) or UNCONSTRAINED
+        for declarator in node.children[1:]:
+            if declarator.children:
+                roots.append((declarator.children[0], scope, declared))
+    elif node.kind == aslt.EXPRESSION_STATEMENT and node.children:
+        inner = node.children[0]
+        if inner.kind == aslt.SIMPLE_ASSIGNMENT_EXPRESSION and len(inner.children) == 2:
+            target, value = inner.children
+            binding = _lookup_binding(target.attributes.get("name", ""), bindings, scope)
+            expected = binding.declared_type if binding is not None else UNCONSTRAINED
+            roots.append((value, scope, expected))
+        else:
+            roots.append((inner, scope, UNCONSTRAINED))
+    elif node.kind == aslt.RETURN_STATEMENT and node.children:
+        roots.append((node.children[0], scope, UNCONSTRAINED))
 
 
 # ---------------------------------------------------------------------------

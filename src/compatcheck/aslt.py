@@ -91,6 +91,10 @@ KEYWORDS = frozenset(
 # of them well under the interpreter's default recursion limit of 1000.
 MAX_DEPTH = 100
 
+# Most array dimensions a type may have: the JVM's limit on array types
+# (JVMS 4.3.2, 4.4.1).  It also bounds the text a report prints for a type.
+MAX_ARRAY_DIMS = 255
+
 LITERAL_CATEGORIES = {
     "integer-literal": "integer",
     "floating-literal": "floating",
@@ -130,7 +134,7 @@ class AsltFormatError(AsltError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     file: str
     start_line: int
@@ -139,7 +143,7 @@ class Span:
     end_column: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsltNode:
     """One tree node: a kind, string attributes, and owned children.
 
@@ -182,7 +186,7 @@ _PUNCTUATION = frozenset(";,(){}[].")
 _ESCAPABLE = frozenset("btnfr\"'\\0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     category: str
     lexeme: str
@@ -475,6 +479,10 @@ class _Parser:
             dims += 1
         if base == "void" and dims:
             raise ParseError("array of void is not a type", start.line, start.column)
+        if dims > MAX_ARRAY_DIMS:
+            raise ParseError(
+                f"array type with more than {MAX_ARRAY_DIMS} dimensions", start.line, start.column
+            )
         attributes = {"name": base}
         if dims:
             attributes["dims"] = str(dims)
@@ -822,16 +830,15 @@ def write_aslt(tree: AsltNode) -> str:
     sorted ``attr="value"`` pairs; children follow on deeper lines.
     """
     lines: list[str] = []
-
-    def emit(node: AsltNode, depth: int) -> None:
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         parts = ["  " * depth + node.kind]
         for name in sorted(node.attributes):
             parts.append(f'{name}="{_escape(node.attributes[name])}"')
         lines.append(" ".join(parts))
-        for child in node.children:
-            emit(child, depth + 1)
-
-    emit(tree, 0)
+        for child in reversed(node.children):
+            stack.append((child, depth + 1))
     return "\n".join(lines) + "\n"
 
 
@@ -881,8 +888,10 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     """Parse ``.aslt`` text back into a tree (inverse of :func:`write_aslt`).
 
     Node spans are anchored to the ``.aslt`` line each node came from.
+    Every line is checked before the tree is built, so a bad line is
+    reported ahead of a bad indentation structure further up.
     """
-    entries: list[tuple[int, str, dict[str, str], int, int]] = []
+    entries: list[tuple[int, str, dict[str, str], Span]] = []
     for line_number, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
@@ -892,33 +901,34 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
         if indent // 2 > MAX_DEPTH:
             raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
         kind, attributes = _parse_aslt_line(raw[indent:], line_number)
-        entries.append((indent // 2, kind, attributes, line_number, len(raw)))
+        span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
+        entries.append((indent // 2, kind, attributes, span))
     if not entries:
         raise AsltFormatError(1, "no nodes")
     if entries[0][0] != 0:
-        raise AsltFormatError(entries[0][3], "the root node must not be indented")
+        raise AsltFormatError(entries[0][3].start_line, "the root node must not be indented")
 
-    def build(position: int) -> tuple[AsltNode, int]:
-        depth, kind, attributes, line_number, width = entries[position]
-        children: list[AsltNode] = []
-        position += 1
-        while position < len(entries):
-            child_depth = entries[position][0]
-            if child_depth <= depth:
-                break
-            if child_depth != depth + 1:
-                raise AsltFormatError(
-                    entries[position][3], "indentation jumps more than one level"
-                )
-            child, position = build(position)
-            children.append(child)
-        span = Span(file_name, line_number, 1, line_number, width + 1)
-        return AsltNode(kind, attributes, tuple(children), span), position
+    # The nodes still open, outermost first (the one at index i is at depth
+    # i), each with the children read so far.
+    open_nodes: list[tuple[str, dict[str, str], Span, list[AsltNode]]] = []
+    for depth, kind, attributes, span in entries:
+        if open_nodes and depth == 0:
+            raise AsltFormatError(span.start_line, "more than one root node")
+        if depth > len(open_nodes):
+            raise AsltFormatError(span.start_line, "indentation jumps more than one level")
+        while len(open_nodes) > depth:
+            _close_node(open_nodes)
+        open_nodes.append((kind, attributes, span, []))
+    while len(open_nodes) > 1:
+        _close_node(open_nodes)
+    kind, attributes, span, children = open_nodes[0]
+    return AsltNode(kind, attributes, tuple(children), span)
 
-    root, position = build(0)
-    if position != len(entries):
-        raise AsltFormatError(entries[position][3], "more than one root node")
-    return root
+
+def _close_node(open_nodes: list[tuple[str, dict[str, str], Span, list[AsltNode]]]) -> None:
+    """Pop the innermost open node and add it to its parent's children."""
+    kind, attributes, span, children = open_nodes.pop()
+    open_nodes[-1][3].append(AsltNode(kind, attributes, tuple(children), span))
 
 
 def check_names(tree: AsltNode) -> None:
@@ -940,6 +950,11 @@ def check_names(tree: AsltNode) -> None:
             if not (dims.isascii() and dims.isdigit()):
                 raise AsltFormatError(
                     line_number, f"dims must be a non-negative integer, not {dims!r}"
+                )
+            # The length test comes first: int() refuses very long digit strings.
+            if len(dims) > len(str(MAX_ARRAY_DIMS)) or int(dims) > MAX_ARRAY_DIMS:
+                raise AsltFormatError(
+                    line_number, f"dims must be at most {MAX_ARRAY_DIMS}, in at most three digits"
                 )
             if name == "void" and int(dims):
                 raise AsltFormatError(line_number, "void cannot be an array element type")

@@ -16,6 +16,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .aslt import MAX_ARRAY_DIMS
+
 MAGIC = 0xCAFEBABE
 MIN_MAJOR_VERSION = 45
 
@@ -95,7 +97,7 @@ class InvalidClassInfoError(ClassFileError):
     """A ClassInfo handed to the emitter violates its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeName:
     """A scalar or array type.
 
@@ -122,7 +124,7 @@ class TypeName:
 VOID = TypeName("void")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSignature:
     """Name, ordered parameter types and return type of one method.
 
@@ -140,14 +142,14 @@ class MethodSignature:
         return f"{self.name}({params}) -> {self.return_type}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldMember:
     name: str
     declared_type: TypeName
     is_static: bool = field(default=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassInfo:
     """The exposed surface of one compiled class.
 
@@ -163,7 +165,7 @@ class ClassInfo:
     source_file_name: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """A non-fatal (unless flagged) per-file problem collected during a run."""
 
@@ -182,6 +184,8 @@ def _parse_type(text: str, pos: int, allow_void: bool) -> tuple[TypeName, int]:
     while i < len(text) and text[i] == "[":
         dims += 1
         i += 1
+    if dims > MAX_ARRAY_DIMS:
+        raise DescriptorError(pos, f"array type with more than {MAX_ARRAY_DIMS} dimensions")
     if i >= len(text):
         raise DescriptorError(i, "type expected")
     code = text[i]
@@ -440,6 +444,8 @@ def _check_reference_name(name: str, what: str) -> None:
 
 
 def _check_type(type_name: TypeName, what: str) -> None:
+    if type_name.dims > MAX_ARRAY_DIMS:
+        raise InvalidClassInfoError(f"{what} has more than {MAX_ARRAY_DIMS} array dimensions")
     if type_name.name not in PRIMITIVE_TYPES and type_name.name != "void":
         _check_reference_name(type_name.name, what)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -62,7 +63,22 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
     written next to them.  When both a source file and its ``.aslt`` exist,
     the source is parsed (so report locations always point at source and
     repeated runs stay byte-identical).
+
+    The cyclic garbage collector is paused for the call and then restored
+    to its previous state.  Everything a run builds is acyclic, so
+    reference counting frees it, and a full collection would only re-scan
+    every tree loaded so far.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyse(config, widening)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
     run = AnalysisRun(config=config)
     root = Path(config.path_to_application)
     if not root.is_dir():
@@ -247,7 +263,25 @@ def render_json(run: AnalysisRun) -> str:
             "calls_checked": len(run.call_sites),
         },
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _indented_json(payload) + "\n"
+
+
+def _indented_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for the dicts, lists and scalars of a
+    report.  The standard encoder indents through closures that refer to
+    one another, so each call would leave a reference cycle behind."""
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_indented_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    newline = "\n" + "  " * (depth + 1)
+    return brackets[0] + newline + ("," + newline).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def _default_node_kinds() -> dict[str, str]:
     return {key: key for key in NODE_KIND_KEYS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectConfig:
     """Validated settings for one analyser run.
 

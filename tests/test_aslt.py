@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from compatcheck.aslt import (
     AsltFormatError,
     AsltNode,
     LexicalError,
+    Span,
     MalformedTreeError,
     ParseError,
     Token,
@@ -395,25 +397,48 @@ def test_read_sets_line_anchored_spans():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, line_number, message",
     [
-        "",
-        "   \n\n",
-        "NotAKind\n",
-        " CompilationUnit\n",  # odd indent
-        'CompilationUnit\n    ClassDeclaration name="A"\n',  # jump of two levels
-        "  CompilationUnit\n",  # indented root
-        "CompilationUnit\nCompilationUnit\n",  # two roots
-        'CompilationUnit file=X\n',  # unquoted value
-        'CompilationUnit file="X\n',  # unterminated value
-        'CompilationUnit file="X" file="Y"\n',  # duplicate attribute
-        'CompilationUnit file="\\x"\n',  # bad escape
-        'CompilationUnit 1bad="x"\n',  # bad attribute name
+        ("", 1, "no nodes"),
+        ("   \n\n", 1, "no nodes"),
+        ("NotAKind\n", 1, "unknown node kind 'NotAKind'"),
+        (" CompilationUnit\n", 1, "indentation must be a multiple of two spaces"),
+        (
+            'CompilationUnit\n    ClassDeclaration name="A"\n',
+            2,
+            "indentation jumps more than one level",
+        ),
+        ("  CompilationUnit\n", 1, "the root node must not be indented"),
+        ("CompilationUnit\nCompilationUnit\n", 2, "more than one root node"),
+        ("CompilationUnit file=X\n", 1, "attribute 'file' must be written name=\"value\""),
+        ('CompilationUnit file="X\n', 1, "unterminated value for attribute 'file'"),
+        ('CompilationUnit file="X" file="Y"\n', 1, "duplicate attribute 'file'"),
+        ('CompilationUnit file="\\x"\n', 1, "bad escape in attribute 'file'"),
+        ('CompilationUnit 1bad="x"\n', 1, "expected an attribute name"),
+        # Structure errors below the root, and a bad line after a bad structure.
+        (
+            'CompilationUnit\n  ClassDeclaration name="A"\n      Block\n',
+            3,
+            "indentation jumps more than one level",
+        ),
+        (
+            'CompilationUnit\n  ClassDeclaration name="A"\n    Block\n  Block\n      Block\n',
+            5,
+            "indentation jumps more than one level",
+        ),
+        (
+            'CompilationUnit\n  ClassDeclaration name="A"\n    Block\nCompilationUnit\n      Block\n',
+            4,
+            "more than one root node",
+        ),
+        ("CompilationUnit\nCompilationUnit\nNotAKind\n", 3, "unknown node kind 'NotAKind'"),
     ],
 )
-def test_read_rejects_malformed_text(text):
-    with pytest.raises(AsltFormatError):
+def test_read_rejects_malformed_text(text, line_number, message):
+    with pytest.raises(AsltFormatError) as exc:
         read_aslt(text)
+    assert exc.value.line_number == line_number
+    assert str(exc.value) == f"line {line_number}: {message}"
 
 
 def test_read_error_carries_line_number():
@@ -485,6 +510,41 @@ def test_iter_nodes_reaches_the_bound():
     assert nodes[-1].span.start_line == aslt.MAX_DEPTH + 1
 
 
+def array_field(dims: str) -> str:
+    return (
+        'CompilationUnit\n  ClassDeclaration name="A"\n    FieldDeclaration name="a"\n'
+        f'      TypeReference dims="{dims}" name="int"\n'
+    )
+
+
+@pytest.mark.parametrize("dims", ["0", "7", "007", str(aslt.MAX_ARRAY_DIMS)])
+def test_check_names_accepts_array_dimensions_up_to_the_bound(dims):
+    aslt.check_names(read_aslt(array_field(dims)))
+
+
+# The longest ones would make int() raise ValueError if it were asked first.
+@pytest.mark.parametrize("dims", ["256", "0001", "10000000000", "9" * 5000, "0" * 5000 + "1"])
+def test_check_names_rejects_too_many_array_dimensions(dims):
+    tree = read_aslt(array_field(dims))
+    with pytest.raises(AsltFormatError) as exc:
+        aslt.check_names(tree)
+    assert str(exc.value) == "line 4: dims must be at most 255, in at most three digits"
+
+
+def test_parse_accepts_the_most_array_dimensions():
+    dims = aslt.MAX_ARRAY_DIMS
+    tree = parse_source(f"class A {{ int{'[]' * dims} a; }}")
+    type_node = tree.children[0].children[0].children[0]
+    assert type_node.attributes == {"name": "int", "dims": str(dims)}
+    aslt.check_names(read_aslt(write_aslt(tree)))
+
+
+def test_parse_rejects_too_many_array_dimensions():
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"class A {{ void m(int{'[]' * (aslt.MAX_ARRAY_DIMS + 1)} a) {{ }} }}")
+    assert str(exc.value) == f"1:18: array type with more than {aslt.MAX_ARRAY_DIMS} dimensions"
+
+
 def test_check_names_accepts_parsed_trees():
     aslt.check_names(read_aslt(write_aslt(parse_source("class A { int[][] a; void m(B b) { } }"))))
     rng = random.Random(0xC4EC)
@@ -500,3 +560,25 @@ def test_node_constructor_rejects_unknown_kind():
 def test_token_dataclass_shape():
     token = Token("identifier", "abc", 3, 7)
     assert token.end_column == 10
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+def test_records_are_slotted_and_frozen():
+    span = Span("A.java", 1, 1, 1, 2)
+    node = AsltNode(aslt.BLOCK, {}, (), span)
+    token = Token("identifier", "x", 1, 1)
+    for record, field_name in ((span, "file"), (node, "kind"), (token, "lexeme")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field_name, "y")
+
+
+def test_node_equality_ignores_span():
+    a = AsltNode(aslt.BLOCK, {}, (), Span("A.java", 1, 1, 1, 2))
+    b = AsltNode(aslt.BLOCK, {}, (), Span("B.aslt", 7, 3, 9, 4))
+    assert a == b
+    assert a == AsltNode(aslt.BLOCK)
+    assert a != AsltNode(aslt.BLOCK, {"name": "x"}, (), a.span)

@@ -20,6 +20,7 @@ from compatcheck.classfile import (
     scan_classfiles,
 )
 
+from compatcheck.aslt import MAX_ARRAY_DIMS
 from randgen import random_class_info
 
 SAMPLE_CLASS_B = ClassInfo(
@@ -104,6 +105,22 @@ def test_descriptor_error_carries_offset():
     with pytest.raises(DescriptorError) as exc:
         parse_descriptor("(IV)V")
     assert exc.value.offset == 2
+
+
+def test_descriptor_accepts_the_most_array_dimensions():
+    dims = "[" * MAX_ARRAY_DIMS
+    assert parse_descriptor(f"({dims}I){dims}Ljava/lang/String;") == (
+        (TypeName("int", MAX_ARRAY_DIMS),),
+        TypeName("java.lang.String", MAX_ARRAY_DIMS),
+    )
+
+
+@pytest.mark.parametrize("descriptor", ["(" + "[" * 256 + "I)V", "()" + "[" * 256 + "I"])
+def test_descriptor_rejects_too_many_array_dimensions(descriptor):
+    with pytest.raises(DescriptorError) as exc:
+        parse_descriptor(descriptor)
+    assert exc.value.offset == descriptor.index("[")
+    assert "more than 255 dimensions" in str(exc.value)
 
 
 def test_descriptor_rejects_dotted_reference():
@@ -244,6 +261,15 @@ def test_emit_rejects_void_field_and_parameter():
         emit_classfile(ClassInfo("A", methods=(MethodSignature("m", (VOID,), VOID),)))
 
 
+def test_emit_rejects_too_many_array_dimensions():
+    emit_classfile(ClassInfo("A", fields=(FieldMember("a", TypeName("int", MAX_ARRAY_DIMS)),)))
+    too_many = TypeName("int", MAX_ARRAY_DIMS + 1)
+    with pytest.raises(InvalidClassInfoError):
+        emit_classfile(ClassInfo("A", fields=(FieldMember("a", too_many),)))
+    with pytest.raises(InvalidClassInfoError):
+        emit_classfile(ClassInfo("A", methods=(MethodSignature("m", (), too_many),)))
+
+
 def test_emit_rejects_slash_in_name():
     with pytest.raises(InvalidClassInfoError):
         emit_classfile(ClassInfo("bad/name"))
@@ -288,6 +314,24 @@ def test_scan_collects_diagnostics_for_corrupt_files(tmp_path):
     assert [i.qualified_name for i in infos] == ["Good"]
     assert len(diagnostics) == 1
     assert diagnostics[0].file == "Broken.class"
+
+
+def class_file_with_array_field(dims: int) -> bytes:
+    """A class file whose field ``a`` has ``dims`` dimensions, even past the
+    bound that the emitter enforces."""
+    data = emit_classfile(ClassInfo("Wide", fields=(FieldMember("a", TypeName("int", 1)),)))
+    return data.replace(b"\x01\x00\x02[I", b"\x01" + (dims + 1).to_bytes(2, "big") + b"[" * dims + b"I")
+
+
+def test_scan_turns_too_many_array_dimensions_into_a_diagnostic(tmp_path):
+    _write_class(tmp_path, ClassInfo("Good"))
+    (tmp_path / "Wide.class").write_bytes(class_file_with_array_field(MAX_ARRAY_DIMS + 1))
+    infos, diagnostics = scan_classfiles(tmp_path, ".class")
+    assert [i.qualified_name for i in infos] == ["Good"]
+    assert [d.file for d in diagnostics] == ["Wide.class"]
+    assert "more than 255 dimensions" in diagnostics[0].message
+    wide = parse_classfile(class_file_with_array_field(MAX_ARRAY_DIMS))
+    assert wide.fields == (FieldMember("a", TypeName("int", MAX_ARRAY_DIMS)),)
 
 
 def test_scan_missing_directory_raises(tmp_path):

@@ -1,12 +1,21 @@
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from compatcheck import aslt, cli
+from compatcheck import analysis, aslt, cli
 from compatcheck.analysis import MismatchKind
-from compatcheck.classfile import MethodSignature, TypeName, VOID, emit_classfile, parse_classfile
+from compatcheck.classfile import (
+    VOID,
+    ClassInfo,
+    FieldMember,
+    MethodSignature,
+    TypeName,
+    emit_classfile,
+    parse_classfile,
+)
 from compatcheck.cli import (
     gen_testbed,
     main,
@@ -217,6 +226,8 @@ BAD_TREE_SOURCE = "class Bad { int[] a; B b = new B(); void m() { b.f(a); } }"
         ('TypeReference dims="1"', 'TypeReference dims="1e3"', 4),
         ('TypeReference dims="1"', 'TypeReference dims=""', 4),
         ('TypeReference dims="1"', 'TypeReference dims="\u0663"', 4),  # a non-ASCII digit
+        ('TypeReference dims="1"', 'TypeReference dims="256"', 4),
+        ('TypeReference dims="1"', 'TypeReference dims="10000000000"', 4),
         ('TypeReference dims="1" name="int"', 'TypeReference dims="1"', 4),
         ('TypeReference name="B"', 'TypeReference name=""', 6),
         ('TypeReference name="void"', 'TypeReference dims="2" name="void"', 11),
@@ -230,6 +241,49 @@ def test_malformed_type_in_aslt_is_a_diagnostic(testbed, old, new, line):
     assert [(d.file, d.fatal) for d in run.diagnostics] == [("Bad.aslt", False)]
     assert run.diagnostics[0].message.startswith(f"line {line}: ")
     assert sorted(run.aslt_trees) == ["SampleClassA.java", "SampleClassB.java", "TestBed.java"]
+    assert run.exit_code == 0
+
+
+def wide_array_project(root, dims):
+    """Add a source, an ``.aslt`` tree and a class file, each declaring a
+    field ``a`` of type ``int`` with ``dims`` array dimensions."""
+    brackets = "[]" * dims
+    (root / "WideSource.java").write_text(f"class WideSource {{ int{brackets} a; }}", encoding="utf-8")
+    tree = aslt.parse_source("class WideTree { int[] a; }", file_name="WideTree.java")
+    text = aslt.write_aslt(tree).replace('dims="1"', f'dims="{dims}"')
+    (root / "WideTree.aslt").write_text(text, encoding="utf-8")
+    wide = ClassInfo("WideClass", fields=(FieldMember("a", TypeName("int", 1)),))
+    data = emit_classfile(wide).replace(
+        b"\x01\x00\x02[I", b"\x01" + (dims + 1).to_bytes(2, "big") + b"[" * dims + b"I"
+    )
+    (root / "WideClass.class").write_bytes(data)
+
+
+def test_array_types_at_the_dimension_bound_are_analysed(testbed):
+    wide_array_project(testbed, aslt.MAX_ARRAY_DIMS)
+    run = run_analysis(_config_for(testbed, debug_level=1))
+    assert run.diagnostics == []
+    assert "WideSource.java" in run.aslt_trees and "WideTree.aslt" in run.aslt_trees
+    assert [c.qualified_name for c in run.class_infos][-1] == "WideClass"
+    assert f"field int{'[]' * aslt.MAX_ARRAY_DIMS} a" in show_all_errors(run)
+    assert run.exit_code == 0
+
+
+def test_array_types_past_the_dimension_bound_are_diagnostics(testbed):
+    wide_array_project(testbed, aslt.MAX_ARRAY_DIMS + 1)
+    run = run_analysis(_config_for(testbed))
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [
+        ("WideClass.class", False),
+        ("WideSource.java", False),
+        ("WideTree.aslt", False),
+    ]
+    assert [d.message for d in run.diagnostics] == [
+        "descriptor error at offset 0: array type with more than 255 dimensions",
+        "1:20: array type with more than 255 dimensions",
+        "line 4: dims must be at most 255, in at most three digits",
+    ]
+    assert sorted(run.aslt_trees) == ["SampleClassA.java", "SampleClassB.java", "TestBed.java"]
+    assert len(run.class_infos) == 3
     assert run.exit_code == 0
 
 
@@ -357,6 +411,97 @@ def test_json_rendering_matches_text_report_set(testbed):
     assert error["expected_return"] == "void"
     assert error["given_return"] == "Unconstrained"
     assert error["location"]["file"] == "SampleClassA.java"
+
+
+def test_json_rendering_is_the_standard_indented_encoding(testbed):
+    inject_fault(testbed)
+    (testbed / "Bad.java").write_text("class Bad { \u00a7 }", encoding="utf-8")
+    (testbed / "Extra.java").write_text("class Extra { void m() { ghost.poke(1); } }", encoding="utf-8")
+    run = run_analysis(_config_for(testbed))
+    assert run.reports and run.diagnostics
+    text = render_json(run)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    empty = run_analysis(ProjectConfig(path_to_application=testbed / "gone"))
+    text = render_json(dataclasses.replace(empty, diagnostics=[]))
+    assert '"errors": [],' in text and '"diagnostics": []' in text
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as it was, whatever the test does to it."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_analysis_restores_the_collector_state(testbed, collector_state, enabled, monkeypatch):
+    seen = []
+    original = analysis.method_called
+
+    def method_called(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "method_called", method_called)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    run = run_analysis(_config_for(testbed))
+    assert run.exit_code == 0
+    assert seen == [False]  # paused during the run
+    assert gc.isenabled() is enabled
+
+
+def test_run_analysis_restores_the_collector_after_an_exception(testbed, collector_state, monkeypatch):
+    def method_called(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(analysis, "method_called", method_called)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="boom"):
+        run_analysis(_config_for(testbed))
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, collector_state):
+    clean = tmp_path / "clean"
+    faulted = tmp_path / "faulted"
+    trees_only = tmp_path / "trees_only"
+    cold = tmp_path / "cold"
+    for root in (clean, faulted, trees_only, cold):
+        gen_testbed(root)
+    inject_fault(faulted)
+    (faulted / "Broken.java").write_text("class Broken { void m() { f( } }", encoding="utf-8")
+    (faulted / "Odd.aslt").write_text("CompilationUnit\n    Block\n", encoding="utf-8")
+    for source in trees_only.glob("*.java"):
+        tree = aslt.parse_source(source.read_text(encoding="utf-8"), file_name=source.name)
+        source.with_suffix(".aslt").write_text(aslt.write_aslt(tree), encoding="utf-8")
+        source.unlink()
+
+    def analyse(root):
+        if root == cold:
+            for path in cold.glob("*.aslt"):
+                path.unlink()
+        run = run_analysis(_config_for(root, debug_level=2))
+        return len(show_all_errors(run)) + len(render_json(run))
+
+    for root in (clean, faulted, trees_only, cold):
+        analyse(root)  # warm up: imports, caches and the sibling .aslt files
+    gc.collect()
+    gc.disable()
+    outputs = [analyse(root) for root in (clean, faulted, trees_only, cold)]
+    assert all(outputs)
+    assert gc.collect() == 0
 
 
 def test_exit_code_contract_matches_run_state(testbed):
