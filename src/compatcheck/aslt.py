@@ -142,6 +142,23 @@ class Span:
     end_line: int
     end_column: int
 
+    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
+    def __init__(
+        self, file: str, start_line: int, start_column: int, end_line: int, end_column: int
+    ):
+        _set_span_file(self, file)
+        _set_span_start_line(self, start_line)
+        _set_span_start_column(self, start_column)
+        _set_span_end_line(self, end_line)
+        _set_span_end_column(self, end_column)
+
+
+_set_span_file = Span.__dict__["file"].__set__
+_set_span_start_line = Span.__dict__["start_line"].__set__
+_set_span_start_column = Span.__dict__["start_column"].__set__
+_set_span_end_line = Span.__dict__["end_line"].__set__
+_set_span_end_column = Span.__dict__["end_column"].__set__
+
 
 @dataclass(frozen=True, slots=True)
 class AsltNode:
@@ -156,15 +173,32 @@ class AsltNode:
     children: tuple["AsltNode", ...] = ()
     span: Span | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in NODE_KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
+    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
+    def __init__(
+        self,
+        kind: str,
+        attributes: dict[str, str] | None = None,
+        children: tuple["AsltNode", ...] = (),
+        span: Span | None = None,
+    ):
+        if kind not in NODE_KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        _set_node_kind(self, kind)
+        _set_node_attributes(self, {} if attributes is None else attributes)
+        _set_node_children(self, children)
+        _set_node_span(self, span)
 
     def first(self, kind: str) -> "AsltNode | None":
         for child in self.children:
             if child.kind == kind:
                 return child
         return None
+
+
+_set_node_kind = AsltNode.__dict__["kind"].__set__
+_set_node_attributes = AsltNode.__dict__["attributes"].__set__
+_set_node_children = AsltNode.__dict__["children"].__set__
+_set_node_span = AsltNode.__dict__["span"].__set__
 
 
 def iter_nodes(tree: AsltNode) -> Iterator[AsltNode]:
@@ -183,7 +217,6 @@ def iter_nodes(tree: AsltNode) -> Iterator[AsltNode]:
 END_OF_INPUT = "end-of-input"
 
 _PUNCTUATION = frozenset(";,(){}[].")
-_ESCAPABLE = frozenset("btnfr\"'\\0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,9 +226,22 @@ class Token:
     line: int
     column: int
 
+    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
+    def __init__(self, category: str, lexeme: str, line: int, column: int):
+        _set_token_category(self, category)
+        _set_token_lexeme(self, lexeme)
+        _set_token_line(self, line)
+        _set_token_column(self, column)
+
     @property
     def end_column(self) -> int:
         return self.column + len(self.lexeme)
+
+
+_set_token_category = Token.__dict__["category"].__set__
+_set_token_lexeme = Token.__dict__["lexeme"].__set__
+_set_token_line = Token.__dict__["line"].__set__
+_set_token_column = Token.__dict__["column"].__set__
 
 
 def tokenize(source: str) -> list[Token]:
@@ -327,12 +373,15 @@ class _Parser:
 
     # --- token plumbing ---
 
+    # The stream ends with an end-of-input token that advance() never moves
+    # past, so only a look ahead of the current token needs clamping.
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def at(self, category: str, lexeme: str | None = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         return token.category == category and (lexeme is None or token.lexeme == lexeme)
 
     def advance(self) -> Token:
@@ -366,7 +415,10 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", token.line, token.column)
 
     def span_from(self, start: Token) -> Span:
-        return Span(self.file_name, start.line, start.column, self.last.line, self.last.end_column)
+        last = self.last
+        return Span(
+            self.file_name, start.line, start.column, last.line, last.column + len(last.lexeme)
+        )
 
     # --- grammar ---
 
@@ -843,6 +895,39 @@ def write_aslt(tree: AsltNode) -> str:
 
 
 def _parse_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
+    """The kind and attributes of one node line, without its indentation.
+
+    A line with no escape in the shape :func:`write_aslt` gives is split at
+    its quotes.  Any other line, every malformed one included, goes through
+    :func:`_check_aslt_line`, which gives the error.
+    """
+    cut = rest.find(" ")
+    if cut < 0:
+        if rest in NODE_KINDS:
+            return rest, {}
+    elif "\\" not in rest and rest[:cut] in NODE_KINDS:
+        # ' a="x" b="y"' splits into ' a=', 'x', ' b=', 'y', ''.
+        parts = rest[cut:].split('"')
+        if len(parts) % 2 and not parts[-1]:
+            attributes: dict[str, str] = {}
+            for index in range(0, len(parts) - 1, 2):
+                separator = parts[index]
+                name = separator[1:-1]
+                if (
+                    separator[:1] != " "
+                    or separator[-1:] != "="
+                    or not (name.isascii() and name.isidentifier())
+                    or name in attributes
+                ):
+                    break
+                attributes[name] = parts[index + 1]
+            else:
+                return rest[:cut], attributes
+    return _check_aslt_line(rest, line_number)
+
+
+def _check_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
+    """:func:`_parse_aslt_line` one character at a time, with every error."""
     cut = rest.find(" ")
     kind = rest if cut < 0 else rest[:cut]
     if kind not in NODE_KINDS:

@@ -109,7 +109,7 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
             continue
         trees[relative] = tree
-        sibling = path.with_suffix(config.aslt_file_extension)
+        sibling = path.with_name(path.name[: -len(SOURCE_EXTENSION)] + config.aslt_file_extension)
         if not sibling.exists():
             try:
                 sibling.write_text(aslt.write_aslt(tree), encoding="utf-8")
@@ -117,7 +117,8 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
                 sibling_name = sibling.relative_to(root).as_posix()
                 parse_diagnostics.append(Diagnostic(sibling_name, f"cannot write: {exc}"))
     for path in aslt_paths:
-        if path.with_suffix(SOURCE_EXTENSION).exists():
+        stem = path.name[: -len(config.aslt_file_extension)]
+        if path.with_name(stem + SOURCE_EXTENSION).exists():
             continue  # the source was (or will be) analysed directly
         relative = path.relative_to(root).as_posix()
         try:

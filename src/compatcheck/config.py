@@ -116,6 +116,8 @@ def load_config(kv: Mapping[str, str], base_dir: Path | str | None = None) -> Pr
     for label, extension in ((KEY_ASLT_EXTENSION, aslt_extension), (KEY_CLASS_EXTENSION, class_extension)):
         if not extension.startswith("."):
             raise ConfigError(f"{label} must be non-empty and begin with '.', got {extension!r}")
+        if extension == "." or "/" in extension or "\\" in extension:
+            raise ConfigError(f"{label} must name a file suffix, got {extension!r}")
 
     raw_level = kv.get(KEY_DEBUG_LEVEL, "0")
     if not raw_level or not all(c in "0123456789" for c in raw_level):

@@ -441,6 +441,52 @@ def test_read_rejects_malformed_text(text, line_number, message):
     assert str(exc.value) == f"line {line_number}: {message}"
 
 
+# Pieces of node lines: the writer's output, near misses, non-ASCII word
+# characters that str.isalnum() accepts ('é', '²') and identifier characters
+# that it rejects (the undertie and a combining accent).
+_LINE_KINDS = ("Block", "TypeReference", "ASLTJavaLiteralTag", "CompilationUnit", "Bogus")
+_LINE_NAMES = ("name", "dims", "value", "_x", "a1", "é", "x²", "1a", "²", "a\u203fb", "e\u0301")
+_VALUE_PIECES = ("a", "Z", " ", "\t", "=", "é", "²", "7", "\\n", '\\"', "\\\\", "n", "_")
+_NOISE = (" ", "\t", "=", '"', "\\", "n", "_", "0", "9", "é", "²", "name", "dims", "Block")
+
+
+def _random_node_line(rng: random.Random) -> str:
+    line = rng.choice(_LINE_KINDS)
+    for _ in range(rng.randrange(4)):
+        value = "".join(rng.choice(_VALUE_PIECES) for _ in range(rng.randrange(4)))
+        line += f' {rng.choice(_LINE_NAMES)}="{value}"'
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(line) + 1)
+        cut = at + rng.randrange(2)
+        line = line[:at] + rng.choice(_NOISE + ("",)) + line[cut:]
+    return line
+
+
+def _line_outcome(parse, line):
+    try:
+        return parse(line, 7)
+    except AsltFormatError as exc:
+        return str(exc), exc.line_number
+
+
+def test_line_fast_path_agrees_with_the_checking_loop(monkeypatch):
+    checked = []
+
+    def counting_check(rest, line_number):
+        checked.append(rest)
+        return aslt_check(rest, line_number)
+
+    aslt_check = aslt._check_aslt_line
+    monkeypatch.setattr(aslt, "_check_aslt_line", counting_check)
+    rng = random.Random(0xA517)
+    lines = 100_000
+    for _ in range(lines):
+        line = _random_node_line(rng)
+        assert _line_outcome(aslt._parse_aslt_line, line) == _line_outcome(aslt_check, line), line
+    # Both paths ran often: the fast one on clean lines, the loop on the rest.
+    assert lines // 10 < len(checked) < lines - lines // 10
+
+
 def test_read_error_carries_line_number():
     with pytest.raises(AsltFormatError) as exc:
         read_aslt('CompilationUnit\n  Bogus\n')
@@ -582,3 +628,97 @@ def test_node_equality_ignores_span():
     assert a == b
     assert a == AsltNode(aslt.BLOCK)
     assert a != AsltNode(aslt.BLOCK, {"name": "x"}, (), a.span)
+
+
+def test_node_attributes_default_to_a_fresh_dict():
+    first, second = AsltNode(aslt.BLOCK), AsltNode(aslt.BLOCK)
+    assert first.attributes == {} and second.attributes == {}
+    assert first.attributes is not second.attributes
+
+
+def test_records_support_dataclasses_replace():
+    span = Span("A.java", 1, 2, 3, 4)
+    assert dataclasses.replace(span, end_column=9) == Span("A.java", 1, 2, 3, 9)
+    token = Token("identifier", "x", 1, 2)
+    assert dataclasses.replace(token, lexeme="yz") == Token("identifier", "yz", 1, 2)
+    node = AsltNode(aslt.BLOCK, {"name": "a"}, (AsltNode(aslt.BLOCK),), span)
+    renamed = dataclasses.replace(node, attributes={"name": "b"})
+    assert renamed.attributes == {"name": "b"}
+    assert renamed.children == node.children and renamed.span is span
+    with pytest.raises(ValueError, match="unknown node kind 'Bogus'"):
+        dataclasses.replace(node, kind="Bogus")
+
+
+def test_records_keep_their_dataclass_repr_fields_and_hash():
+    span = Span("A.java", 1, 2, 3, 4)
+    token = Token("identifier", "x", 1, 2)
+    node = AsltNode(aslt.BLOCK)
+    assert repr(span) == (
+        "Span(file='A.java', start_line=1, start_column=2, end_line=3, end_column=4)"
+    )
+    assert repr(token) == "Token(category='identifier', lexeme='x', line=1, column=2)"
+    assert repr(node) == "AsltNode(kind='Block', attributes={}, children=(), span=None)"
+
+    def shape(record_type):
+        return [
+            (f.name, f.default, f.default_factory, f.compare, f.init)
+            for f in dataclasses.fields(record_type)
+        ]
+
+    missing = dataclasses.MISSING
+    assert shape(Span) == [
+        (name, missing, missing, True, True)
+        for name in ("file", "start_line", "start_column", "end_line", "end_column")
+    ]
+    assert shape(Token) == [
+        (name, missing, missing, True, True) for name in ("category", "lexeme", "line", "column")
+    ]
+    assert shape(AsltNode) == [
+        ("kind", missing, missing, True, True),
+        ("attributes", missing, dict, True, True),
+        ("children", (), missing, True, True),
+        ("span", None, missing, False, True),
+    ]
+    assert hash(span) == hash(("A.java", 1, 2, 3, 4))
+    assert hash(token) == hash(("identifier", "x", 1, 2))
+    with pytest.raises(TypeError):
+        hash(node)  # the attributes dict takes part in equality
+
+
+def test_parsed_spans_are_unchanged():
+    source = (
+        'class A {\n    B b = new B();\n    int m(String s) {\n'
+        '        b.put("a\\"b", 1.5);\n        return b.get(s);\n    }\n}\n'
+    )
+    spans = [
+        (node.kind, node.span)
+        for node in iter_nodes(parse_source(source, file_name="A.java"))
+    ]
+    assert spans == [
+        (kind, Span("A.java", *position))
+        for kind, *position in [
+            (aslt.COMPILATION_UNIT, 1, 1, 7, 2),
+            (aslt.CLASS_DECLARATION, 1, 1, 7, 2),
+            (aslt.FIELD_DECLARATION, 2, 5, 2, 19),
+            (aslt.TYPE_REFERENCE, 2, 5, 2, 6),
+            (aslt.NEW_OBJECT_EXPRESSION, 2, 11, 2, 18),
+            (aslt.TYPE_REFERENCE, 2, 15, 2, 16),
+            (aslt.ARGUMENT_LIST, 2, 16, 2, 18),
+            (aslt.METHOD_DECLARATION, 3, 5, 6, 6),
+            (aslt.TYPE_REFERENCE, 3, 5, 3, 8),
+            (aslt.PARAMETER_DECLARATION, 3, 11, 3, 19),
+            (aslt.TYPE_REFERENCE, 3, 11, 3, 17),
+            (aslt.BLOCK, 3, 21, 6, 6),
+            (aslt.EXPRESSION_STATEMENT, 4, 9, 4, 28),
+            (aslt.METHOD_INVOKE_EXPRESSION, 4, 9, 4, 27),
+            (aslt.IDENTIFIER_EXPRESSION, 4, 9, 4, 10),
+            (aslt.ARGUMENT_LIST, 4, 14, 4, 27),
+            (aslt.LITERAL_TAG, 4, 15, 4, 21),  # "a\"b" ends after its closing quote
+            (aslt.LITERAL_TAG, 4, 23, 4, 26),
+            (aslt.RETURN_STATEMENT, 5, 9, 5, 25),
+            (aslt.METHOD_INVOKE_EXPRESSION, 5, 16, 5, 24),
+            (aslt.IDENTIFIER_EXPRESSION, 5, 16, 5, 17),
+            (aslt.ARGUMENT_LIST, 5, 21, 5, 24),
+            (aslt.IDENTIFIER_EXPRESSION, 5, 22, 5, 23),
+        ]
+    ]

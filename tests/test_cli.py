@@ -604,6 +604,48 @@ def test_main_invalid_config_contents(tmp_path, capsys):
     assert "PathToApplication" in capsys.readouterr().err
 
 
+def _set_aslt_extension(root, extension):
+    path = root / "constants.properties"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        text.replace("ASLTFileExtension=.aslt\n", f"ASLTFileExtension={extension}\n"),
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("extension", [".", ".x/y"])
+def test_main_run_rejects_an_extension_that_is_not_a_file_suffix(testbed, capsys, extension):
+    code = main(["run", "--config", str(_set_aslt_extension(testbed, extension))])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: ASLTFileExtension must name a file suffix, got {extension!r}\n"
+    )
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_multi_dot_extension_pairs_each_source_with_its_sibling(tmp_path, capsys, faulty):
+    outputs = {}
+    for extension in (".aslt", ".tree.aslt"):
+        root = tmp_path / extension.lstrip(".")
+        gen_testbed(root)
+        if faulty:
+            inject_fault(root)
+        config = _set_aslt_extension(root, extension)
+        runs = []
+        for _ in range(2):  # the second run finds the siblings the first one wrote
+            code = main(["run", "--config", str(config), "--format", "json"])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1]
+        assert sorted(p.name for p in root.iterdir() if p.name.endswith(extension)) == [
+            f"{stem}{extension}" for stem in ("SampleClassA", "SampleClassB", "TestBed")
+        ]
+        outputs[extension] = runs[0]
+    assert outputs[".tree.aslt"] == outputs[".aslt"]
+    assert json.loads(outputs[".aslt"][1])["summary"]["calls_checked"] == 6
+
+
 def test_main_aslt_subcommand(testbed, capsys):
     code = main(["aslt", str(testbed / "SampleClassA.java")])
     out = capsys.readouterr().out

@@ -110,6 +110,18 @@ def test_load_rejects_bad_extension():
         load_config({"PathToApplication": "/p", "ClassFileExtension": ""})
 
 
+@pytest.mark.parametrize("key", ["ASLTFileExtension", "ClassFileExtension"])
+@pytest.mark.parametrize("extension", [".", ".x/y", "./aslt", ".x\\y"])
+def test_load_rejects_an_extension_that_is_not_a_file_suffix(key, extension):
+    with pytest.raises(ConfigError, match=f"{key} must name a file suffix"):
+        load_config({"PathToApplication": "/p", key: extension})
+
+
+def test_load_accepts_a_multi_dot_extension():
+    cfg = load_config({"PathToApplication": "/p", "ASLTFileExtension": ".tree.aslt"})
+    assert cfg.aslt_file_extension == ".tree.aslt"
+
+
 def test_load_rejects_empty_node_kind_name():
     with pytest.raises(ConfigError):
         load_config({"PathToApplication": "/p", "ASLTJavaLiteralTag": ""})
