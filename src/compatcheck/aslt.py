@@ -975,17 +975,28 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     Node spans are anchored to the ``.aslt`` line each node came from.
     Every line is checked before the tree is built, so a bad line is
     reported ahead of a bad indentation structure further up.
+
+    Each distinct line body (the text after the indentation) is parsed once
+    per call, and a line that repeats it reuses the kind and a copy of the
+    attributes, so every node still owns its dict.  A line that fails is
+    never stored, so each error keeps its own line number and message.
     """
+    parsed: dict[str, tuple[str, dict[str, str]]] = {}
     entries: list[tuple[int, str, dict[str, str], Span]] = []
     for line_number, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
+        rest = raw.lstrip(" ")
+        if not rest or rest.isspace():
             continue
-        indent = len(raw) - len(raw.lstrip(" "))
+        indent = len(raw) - len(rest)
         if indent % 2:
             raise AsltFormatError(line_number, "indentation must be a multiple of two spaces")
         if indent // 2 > MAX_DEPTH:
             raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
-        kind, attributes = _parse_aslt_line(raw[indent:], line_number)
+        seen = parsed.get(rest)
+        if seen is None:
+            kind, attributes = parsed[rest] = _parse_aslt_line(rest, line_number)
+        else:
+            kind, attributes = seen[0], seen[1].copy()
         span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
         entries.append((indent // 2, kind, attributes, span))
     if not entries:

@@ -67,7 +67,12 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
     The cyclic garbage collector is paused for the call and then restored
     to its previous state.  Everything a run builds is acyclic, so
     reference counting frees it, and a full collection would only re-scan
-    every tree loaded so far.
+    every tree loaded so far.  When the collector was on, every tracked
+    object is then moved to the oldest generation (``gc.freeze`` followed
+    by ``gc.unfreeze``, which splice lists and walk nothing), so the first
+    young-generation pass after the run does not walk what the run built.
+    That step is skipped while anything else is frozen, so that it stays
+    frozen.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -75,6 +80,9 @@ def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
         return _analyse(config, widening)
     finally:
         if collecting:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -105,7 +113,7 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         relative = path.relative_to(root).as_posix()
         try:
             tree = aslt.parse_source(path.read_text(encoding="utf-8"), file_name=relative)
-        except (OSError, aslt.AsltError) as exc:
+        except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
             continue
         trees[relative] = tree
@@ -124,7 +132,7 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         try:
             tree = aslt.read_aslt(path.read_text(encoding="utf-8"), file_name=relative)
             aslt.check_names(tree)
-        except (OSError, aslt.AsltError) as exc:
+        except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
             continue
         trees[relative] = tree
@@ -439,6 +447,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"error: {config_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         kv = parse_properties(text)
         config = load_config(kv, base_dir=config_path.parent)
@@ -465,6 +476,9 @@ def _cmd_aslt(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         tree = aslt.parse_source(source, file_name=path.name)
     except aslt.AsltError as exc:

@@ -118,6 +118,11 @@ def load_config(kv: Mapping[str, str], base_dir: Path | str | None = None) -> Pr
             raise ConfigError(f"{label} must be non-empty and begin with '.', got {extension!r}")
         if extension == "." or "/" in extension or "\\" in extension:
             raise ConfigError(f"{label} must name a file suffix, got {extension!r}")
+    if aslt_extension == class_extension:
+        # A sibling tree would be written over the class file of its source.
+        raise ConfigError(
+            f"{KEY_ASLT_EXTENSION} and {KEY_CLASS_EXTENSION} must differ, both are {aslt_extension!r}"
+        )
 
     raw_level = kv.get(KEY_DEBUG_LEVEL, "0")
     if not raw_level or not all(c in "0123456789" for c in raw_level):

@@ -493,6 +493,51 @@ def test_read_error_carries_line_number():
     assert exc.value.line_number == 2
 
 
+def test_repeated_lines_give_equal_nodes_with_their_own_attributes():
+    body = 'ClassDeclaration name="A"'
+    tree = read_aslt(f"CompilationUnit\n  {body}\n  {body}\n    {body}\n", file_name="T.aslt")
+    first, second = tree.children
+    nested = second.children[0]
+    assert first == nested == AsltNode(aslt.CLASS_DECLARATION, {"name": "A"})
+    assert len({id(first.attributes), id(second.attributes), id(nested.attributes)}) == 3
+    first.attributes["name"] = "B"
+    assert second.attributes == nested.attributes == {"name": "A"}
+    assert [n.span for n in (first, second, nested)] == [
+        Span("T.aslt", 2, 1, 2, 28),
+        Span("T.aslt", 3, 1, 3, 28),
+        Span("T.aslt", 4, 1, 4, 30),
+    ]
+    # Changing a node's attributes does not change a later read.
+    again = read_aslt(f"CompilationUnit\n  {body}\n  {body}\n    {body}\n", file_name="T.aslt")
+    assert again.children[0].attributes == {"name": "A"}
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ('  ClassDeclaration name="A\n', "unterminated value for attribute 'name'"),
+        ('  ClassDeclaration name="A" name="A"\n', "duplicate attribute 'name'"),
+        ('   ClassDeclaration name="A"\n', "indentation must be a multiple of two spaces"),
+        ('      ClassDeclaration name="A"\n', "indentation jumps more than one level"),
+        ('ClassDeclaration name="A"\n', "more than one root node"),
+    ],
+)
+def test_error_after_many_repeated_lines_keeps_its_line_and_message(bad_line, message):
+    text = "CompilationUnit\n" + '  ClassDeclaration name="A"\n' * 1000 + bad_line
+    with pytest.raises(AsltFormatError) as exc:
+        read_aslt(text)
+    assert exc.value.line_number == 1002
+    assert str(exc.value) == f"line 1002: {message}"
+
+
+def test_line_error_below_a_structure_error_is_reported_first():
+    body = '  ClassDeclaration name="A"\n'
+    text = "CompilationUnit\n" + body * 3 + "      Block\n" + body * 3 + "  Bogus\n" + body
+    with pytest.raises(AsltFormatError) as exc:
+        read_aslt(text)
+    assert str(exc.value) == "line 9: unknown node kind 'Bogus'"
+
+
 # ---------------------------------------------------------------------------
 # Nesting bound
 # ---------------------------------------------------------------------------

@@ -151,6 +151,23 @@ def test_partial_parse_failure_keeps_analysing(testbed):
     assert len(run.aslt_trees) == 3
 
 
+def test_files_that_are_not_utf8_become_diagnostics(testbed):
+    expected_calls = len(run_analysis(_config_for(testbed)).call_sites)
+    (testbed / "Cafe.java").write_bytes("class Café { }\n".encode("latin-1"))
+    tree = 'CompilationUnit\n  ClassDeclaration name="é"\n'
+    (testbed / "Tree.aslt").write_bytes(tree.encode("latin-1"))
+    run = run_analysis(_config_for(testbed))
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [
+        ("Cafe.java", False),
+        ("Tree.aslt", False),
+    ]
+    assert all("can't decode byte 0xe9" in d.message for d in run.diagnostics)
+    assert sorted(run.aslt_trees) == ["SampleClassA.java", "SampleClassB.java", "TestBed.java"]
+    assert len(run.call_sites) == expected_calls
+    assert run.exit_code == 0
+    assert not (testbed / "Cafe.aslt").exists()
+
+
 def test_preexisting_aslt_used_when_no_source(tmp_path):
     tree = aslt.parse_source("class A { void m() { ghost.f(); } }", file_name="A.java")
     (tmp_path / "A.aslt").write_text(aslt.write_aslt(tree), encoding="utf-8")
@@ -504,6 +521,38 @@ def test_a_run_leaves_no_cyclic_garbage(tmp_path, collector_state):
     assert gc.collect() == 0
 
 
+def _young_nodes() -> int:
+    return sum(isinstance(o, aslt.AsltNode) for g in (0, 1) for o in gc.get_objects(g))
+
+
+def test_a_run_hands_its_objects_to_the_oldest_generation(testbed, collector_state):
+    if gc.get_freeze_count():
+        pytest.skip("objects are frozen already, and a run leaves them frozen")
+    gc.enable()
+    run = run_analysis(_config_for(testbed))
+    assert run.aslt_trees
+    assert _young_nodes() == 0
+
+
+def test_a_run_with_the_collector_off_moves_nothing(testbed, collector_state):
+    gc.disable()
+    run = run_analysis(_config_for(testbed))
+    assert _young_nodes() >= len(run.aslt_trees) > 0
+
+
+def test_a_run_leaves_frozen_objects_frozen(testbed, collector_state):
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen
+        run = run_analysis(_config_for(testbed))
+        assert gc.get_freeze_count() == frozen
+        assert run.exit_code == 0
+    finally:
+        gc.unfreeze()
+
+
 def test_exit_code_contract_matches_run_state(testbed):
     clean = run_analysis(_config_for(testbed))
     assert (clean.exit_code == 0) == (
@@ -623,6 +672,16 @@ def test_main_run_rejects_an_extension_that_is_not_a_file_suffix(testbed, capsys
     )
 
 
+def test_main_run_rejects_a_tree_extension_equal_to_the_class_extension(testbed, capsys):
+    (testbed / "Extra.java").write_text("class Extra { }\n", encoding="utf-8")
+    code = main(["run", "--config", str(_set_aslt_extension(testbed, ".class"))])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ASLTFileExtension and ClassFileExtension must differ, both are '.class'\n"
+    )
+    assert not (testbed / "Extra.class").exists()
+
+
 @pytest.mark.parametrize("faulty", [False, True])
 def test_multi_dot_extension_pairs_each_source_with_its_sibling(tmp_path, capsys, faulty):
     outputs = {}
@@ -661,6 +720,17 @@ def test_main_aslt_subcommand_parse_failure(tmp_path, capsys):
     path.write_text("class {", encoding="utf-8")
     assert main(["aslt", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_rejects_files_that_are_not_utf8(testbed, capsys):
+    config = testbed / "constants.properties"
+    config.write_bytes(config.read_bytes() + "# café\n".encode("latin-1"))
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: 'utf-8' codec can't decode")
+    source = testbed / "Cafe.java"
+    source.write_bytes("class Café { }\n".encode("latin-1"))
+    assert main(["aslt", str(source)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {source}: 'utf-8' codec can't decode")
 
 
 def test_main_testbed_subcommand(tmp_path, capsys):

@@ -117,6 +117,31 @@ def test_load_rejects_an_extension_that_is_not_a_file_suffix(key, extension):
         load_config({"PathToApplication": "/p", key: extension})
 
 
+@pytest.mark.parametrize(
+    "aslt_extension, class_extension",
+    [(".class", None), (None, ".aslt"), (".bin", ".bin"), (".tree.aslt", ".tree.aslt")],
+)
+def test_load_rejects_equal_tree_and_class_extensions(aslt_extension, class_extension):
+    kv = {"PathToApplication": "/p"}
+    if aslt_extension is not None:
+        kv["ASLTFileExtension"] = aslt_extension
+    if class_extension is not None:
+        kv["ClassFileExtension"] = class_extension
+    same = aslt_extension or class_extension
+    with pytest.raises(ConfigError) as exc:
+        load_config(kv)
+    assert str(exc.value) == (
+        f"ASLTFileExtension and ClassFileExtension must differ, both are {same!r}"
+    )
+
+
+def test_load_accepts_extensions_that_differ_only_in_part():
+    cfg = load_config(
+        {"PathToApplication": "/p", "ASLTFileExtension": ".class.aslt", "ClassFileExtension": ".class"}
+    )
+    assert (cfg.aslt_file_extension, cfg.class_file_extension) == (".class.aslt", ".class")
+
+
 def test_load_accepts_a_multi_dot_extension():
     cfg = load_config({"PathToApplication": "/p", "ASLTFileExtension": ".tree.aslt"})
     assert cfg.aslt_file_extension == ".tree.aslt"
