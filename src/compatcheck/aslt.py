@@ -897,37 +897,9 @@ def write_aslt(tree: AsltNode) -> str:
 def _parse_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
     """The kind and attributes of one node line, without its indentation.
 
-    A line with no escape in the shape :func:`write_aslt` gives is split at
-    its quotes.  Any other line, every malformed one included, goes through
-    :func:`_check_aslt_line`, which gives the error.
+    The line is read one character at a time, and the first fault found is
+    raised as an :class:`AsltFormatError` on ``line_number``.
     """
-    cut = rest.find(" ")
-    if cut < 0:
-        if rest in NODE_KINDS:
-            return rest, {}
-    elif "\\" not in rest and rest[:cut] in NODE_KINDS:
-        # ' a="x" b="y"' splits into ' a=', 'x', ' b=', 'y', ''.
-        parts = rest[cut:].split('"')
-        if len(parts) % 2 and not parts[-1]:
-            attributes: dict[str, str] = {}
-            for index in range(0, len(parts) - 1, 2):
-                separator = parts[index]
-                name = separator[1:-1]
-                if (
-                    separator[:1] != " "
-                    or separator[-1:] != "="
-                    or not (name.isascii() and name.isidentifier())
-                    or name in attributes
-                ):
-                    break
-                attributes[name] = parts[index + 1]
-            else:
-                return rest[:cut], attributes
-    return _check_aslt_line(rest, line_number)
-
-
-def _check_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
-    """:func:`_parse_aslt_line` one character at a time, with every error."""
     cut = rest.find(" ")
     kind = rest if cut < 0 else rest[:cut]
     if kind not in NODE_KINDS:
@@ -977,9 +949,10 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     reported ahead of a bad indentation structure further up.
 
     Each distinct line body (the text after the indentation) is parsed once
-    per call, and a line that repeats it reuses the kind and a copy of the
-    attributes, so every node still owns its dict.  A line that fails is
-    never stored, so each error keeps its own line number and message.
+    per call by :func:`_parse_aslt_line`, and a line that repeats it reuses
+    the kind and a copy of the attributes, so every node still owns its
+    dict.  A line that fails is never stored, so each error keeps its own
+    line number and message.
     """
     parsed: dict[str, tuple[str, dict[str, str]]] = {}
     entries: list[tuple[int, str, dict[str, str], Span]] = []

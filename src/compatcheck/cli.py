@@ -29,13 +29,12 @@ from .classfile import (
 from .config import (
     ConfigError,
     KNOWN_KEYS,
+    SOURCE_EXTENSION,
     ProjectConfig,
     load_config,
     parse_properties,
     render_properties,
 )
-
-SOURCE_EXTENSION = ".java"
 
 EXIT_OK = 0
 EXIT_MISMATCHES = 1

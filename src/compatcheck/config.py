@@ -8,6 +8,7 @@ kind names, debug level) all have defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from pathlib import Path
 from typing import Mapping
 
@@ -22,6 +23,10 @@ NODE_KIND_KEYS = (
     "ASLTJavaVariableDeclarator",
     "ASLTJavaVariableDeclaration",
 )
+
+# The suffix of a source file.  The tree and class-file suffixes are set by
+# the two extension keys.
+SOURCE_EXTENSION = ".java"
 
 KEY_PATH = "PathToApplication"
 KEY_ASLT_EXTENSION = "ASLTFileExtension"
@@ -123,6 +128,17 @@ def load_config(kv: Mapping[str, str], base_dir: Path | str | None = None) -> Pr
         raise ConfigError(
             f"{KEY_ASLT_EXTENSION} and {KEY_CLASS_EXTENSION} must differ, both are {aslt_extension!r}"
         )
+    # A file name that ends with two of the suffixes would be read as both kinds.
+    suffixes = (
+        (KEY_ASLT_EXTENSION, aslt_extension),
+        (KEY_CLASS_EXTENSION, class_extension),
+        ("the source suffix", SOURCE_EXTENSION),
+    )
+    for (label, extension), (other_label, other) in permutations(suffixes, 2):
+        if extension.endswith(other):
+            raise ConfigError(
+                f"{label} {extension!r} ends with {other_label} {other!r}, so a file could be read as both"
+            )
 
     raw_level = kv.get(KEY_DEBUG_LEVEL, "0")
     if not raw_level or not all(c in "0123456789" for c in raw_level):

@@ -682,6 +682,28 @@ def test_main_run_rejects_a_tree_extension_equal_to_the_class_extension(testbed,
     assert not (testbed / "Extra.class").exists()
 
 
+@pytest.mark.parametrize(
+    "aslt_extension, class_extension, message",
+    [
+        (".aslt", ".java", "ClassFileExtension '.java' ends with the source suffix '.java'"),
+        (".tree.aslt", ".aslt", "ASLTFileExtension '.tree.aslt' ends with ClassFileExtension '.aslt'"),
+    ],
+)
+def test_main_run_rejects_extensions_that_overlap(testbed, capsys, aslt_extension, class_extension, message):
+    config = _set_aslt_extension(testbed, aslt_extension)
+    config.write_text(
+        config.read_text(encoding="utf-8").replace(
+            "ClassFileExtension=.class\n", f"ClassFileExtension={class_extension}\n"
+        ),
+        encoding="utf-8",
+    )
+    before = sorted(p.name for p in testbed.iterdir())
+    code = main(["run", "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}, so a file could be read as both\n")
+    assert sorted(p.name for p in testbed.iterdir()) == before
+
+
 @pytest.mark.parametrize("faulty", [False, True])
 def test_multi_dot_extension_pairs_each_source_with_its_sibling(tmp_path, capsys, faulty):
     outputs = {}

@@ -135,6 +135,27 @@ def test_load_rejects_equal_tree_and_class_extensions(aslt_extension, class_exte
     )
 
 
+@pytest.mark.parametrize(
+    "aslt_extension, class_extension, message",
+    [
+        (None, ".java", "ClassFileExtension '.java' ends with the source suffix '.java'"),
+        (".java", None, "ASLTFileExtension '.java' ends with the source suffix '.java'"),
+        (None, ".x.java", "ClassFileExtension '.x.java' ends with the source suffix '.java'"),
+        (".tree.aslt", ".aslt", "ASLTFileExtension '.tree.aslt' ends with ClassFileExtension '.aslt'"),
+        (None, ".x.aslt", "ClassFileExtension '.x.aslt' ends with ASLTFileExtension '.aslt'"),
+    ],
+)
+def test_load_rejects_extensions_that_overlap(aslt_extension, class_extension, message):
+    kv = {"PathToApplication": "/p"}
+    if aslt_extension is not None:
+        kv["ASLTFileExtension"] = aslt_extension
+    if class_extension is not None:
+        kv["ClassFileExtension"] = class_extension
+    with pytest.raises(ConfigError) as exc:
+        load_config(kv)
+    assert str(exc.value) == f"{message}, so a file could be read as both"
+
+
 def test_load_accepts_extensions_that_differ_only_in_part():
     cfg = load_config(
         {"PathToApplication": "/p", "ASLTFileExtension": ".class.aslt", "ClassFileExtension": ".class"}
