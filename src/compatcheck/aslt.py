@@ -365,57 +365,55 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the token list, one method per grammar rule.
+
+    Tokens are matched by lexeme alone.  That is sound because no
+    identifier, literal or end-of-input token can carry the lexeme of a
+    keyword, a punctuation mark or ``=``: a keyword always lexes as a
+    keyword, literals start with a digit or a quote or are ``true`` or
+    ``false``, and end-of-input has the empty lexeme, which nothing matches.
+    The position never passes end-of-input, so a token that is not the last
+    one always has a successor, and the grammar reads it without a bounds
+    check.
+    """
+
     def __init__(self, tokens: list[Token], file_name: str):
         self.tokens = tokens
         self.pos = 0
         self.file_name = file_name
-        self.last = tokens[0]
 
     # --- token plumbing ---
 
-    # The stream ends with an end-of-input token that advance() never moves
-    # past, so only a look ahead of the current token needs clamping.
-    def peek(self, offset: int = 0) -> Token:
-        if offset:
-            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
-
-    def at(self, category: str, lexeme: str | None = None) -> bool:
-        token = self.tokens[self.pos]
-        return token.category == category and (lexeme is None or token.lexeme == lexeme)
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.category != END_OF_INPUT:
+    def take(self, lexeme: str) -> bool:
+        if self.tokens[self.pos].lexeme == lexeme:
             self.pos += 1
-        self.last = token
+            return True
+        return False
+
+    def expect(self, lexeme: str) -> Token:
+        token = self.tokens[self.pos]
+        if token.lexeme != lexeme:
+            self.fail({repr(lexeme)})
+        self.pos += 1
         return token
 
-    def accept(self, category: str, lexeme: str | None = None) -> Token | None:
-        if self.at(category, lexeme):
-            return self.advance()
-        return None
-
-    def expect(self, category: str, lexeme: str | None = None) -> Token:
-        if self.at(category, lexeme):
-            return self.advance()
-        wanted = repr(lexeme) if lexeme is not None else category
-        return self.fail({wanted})
+    def identifier(self) -> Token:
+        token = self.tokens[self.pos]
+        if token.category != "identifier":
+            self.fail({"identifier"})
+        self.pos += 1
+        return token
 
     def fail(self, expected: set[str], message: str | None = None):
-        token = self.peek()
+        token = self.tokens[self.pos]
         got = token.lexeme if token.category != END_OF_INPUT else "end of input"
         raise ParseError(
             message or f"unexpected {got!r}", token.line, token.column, frozenset(expected)
         )
 
-    def check_depth(self, depth: int) -> None:
-        if depth > MAX_DEPTH:
-            token = self.peek()
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", token.line, token.column)
-
     def span_from(self, start: Token) -> Span:
-        last = self.last
+        """The span from ``start`` to the end of the last token taken."""
+        last = self.tokens[self.pos - 1]
         return Span(
             self.file_name, start.line, start.column, last.line, last.column + len(last.lexeme)
         )
@@ -423,12 +421,13 @@ class _Parser:
     # --- grammar ---
 
     def compilation_unit(self) -> AsltNode:
-        start = self.peek()
+        start = self.tokens[0]
         children: list[AsltNode] = []
-        if self.at("keyword", "package"):
+        if start.lexeme == "package":
             children.append(self.package_declaration())
         children.append(self.class_declaration())
-        while not self.at(END_OF_INPUT):
+        end = len(self.tokens) - 1
+        while self.pos < end:
             children.append(self.class_declaration())
         return AsltNode(
             COMPILATION_UNIT,
@@ -438,49 +437,50 @@ class _Parser:
         )
 
     def package_declaration(self) -> AsltNode:
-        start = self.expect("keyword", "package")
+        start = self.expect("package")
         name = self.qualified_name()
-        self.expect("punctuation", ";")
+        self.expect(";")
         return AsltNode(PACKAGE_DECLARATION, {"name": name}, (), self.span_from(start))
 
     def qualified_name(self) -> str:
-        parts = [self.expect("identifier").lexeme]
-        while self.at("punctuation", ".") and self.peek(1).category == "identifier":
-            self.advance()
-            parts.append(self.advance().lexeme)
-        return ".".join(parts)
+        name = self.identifier().lexeme
+        tokens, pos = self.tokens, self.pos
+        while tokens[pos].lexeme == "." and tokens[pos + 1].category == "identifier":
+            name += "." + tokens[pos + 1].lexeme
+            pos += 2
+        self.pos = pos
+        return name
 
     def class_declaration(self) -> AsltNode:
-        start = self.expect("keyword", "class")
-        attributes = {"name": self.expect("identifier").lexeme}
-        if self.accept("keyword", "extends"):
+        start = self.expect("class")
+        attributes = {"name": self.identifier().lexeme}
+        if self.take("extends"):
             attributes["extends"] = self.qualified_name()
-        if self.accept("keyword", "implements"):
+        if self.take("implements"):
             names = [self.qualified_name()]
-            while self.accept("punctuation", ","):
+            while self.take(","):
                 names.append(self.qualified_name())
             attributes["implements"] = ",".join(names)
-        self.expect("punctuation", "{")
+        self.expect("{")
         members: list[AsltNode] = []
-        while not self.at("punctuation", "}"):
+        while not self.take("}"):
             members.append(self.member())
-        self.expect("punctuation", "}")
         return AsltNode(CLASS_DECLARATION, attributes, tuple(members), self.span_from(start))
 
     def member(self) -> AsltNode:
-        start = self.peek()
-        static = self.accept("keyword", "static") is not None
+        start = self.tokens[self.pos]
+        static = self.take("static")
         declared = self.type_reference()
-        name = self.expect("identifier").lexeme
-        if self.at("punctuation", "("):
+        name = self.identifier().lexeme
+        if self.tokens[self.pos].lexeme == "(":
             return self.method_rest(start, static, declared, name)
         if static:
             self.fail({"'('"}, "only methods may be static")
         self.reject_void(declared, start)
         initializer: tuple[AsltNode, ...] = ()
-        if self.accept("operator", "="):
+        if self.take("="):
             initializer = (self.expression(3),)
-        self.expect("punctuation", ";")
+        self.expect(";")
         return AsltNode(
             FIELD_DECLARATION, {"name": name}, (declared,) + initializer, self.span_from(start)
         )
@@ -489,22 +489,22 @@ class _Parser:
         attributes = {"name": name}
         if static:
             attributes["static"] = "true"
-        self.expect("punctuation", "(")
+        self.pos += 1  # '(', seen by member()
         parameters: list[AsltNode] = []
-        if not self.at("punctuation", ")"):
+        if not self.take(")"):
             parameters.append(self.parameter())
-            while self.accept("punctuation", ","):
+            while self.take(","):
                 parameters.append(self.parameter())
-        self.expect("punctuation", ")")
+            self.expect(")")
         body = self.block()
         children = (declared, *parameters, body)
         return AsltNode(METHOD_DECLARATION, attributes, children, self.span_from(start))
 
     def parameter(self) -> AsltNode:
-        start = self.peek()
+        start = self.tokens[self.pos]
         declared = self.type_reference()
         self.reject_void(declared, start)
-        name = self.expect("identifier").lexeme
+        name = self.identifier().lexeme
         return AsltNode(PARAMETER_DECLARATION, {"name": name}, (declared,), self.span_from(start))
 
     def reject_void(self, declared: AsltNode, start: Token) -> None:
@@ -517,18 +517,19 @@ class _Parser:
             )
 
     def type_reference(self) -> AsltNode:
-        start = self.peek()
-        if self.at("keyword") and self.peek().lexeme in PRIMITIVE_TYPE_KEYWORDS:
-            base = self.advance().lexeme
-        elif self.at("identifier"):
+        start = self.tokens[self.pos]
+        if start.category == "identifier":
             base = self.qualified_name()
+        elif start.lexeme in PRIMITIVE_TYPE_KEYWORDS:
+            base = start.lexeme
+            self.pos += 1
         else:
             return self.fail({"type name"})
-        dims = 0
-        while self.at("punctuation", "[") and self.peek(1).lexeme == "]":
-            self.advance()
-            self.advance()
+        tokens, pos, dims = self.tokens, self.pos, 0
+        while tokens[pos].lexeme == "[" and tokens[pos + 1].lexeme == "]":
+            pos += 2
             dims += 1
+        self.pos = pos
         if base == "void" and dims:
             raise ParseError("array of void is not a type", start.line, start.column)
         if dims > MAX_ARRAY_DIMS:
@@ -541,84 +542,82 @@ class _Parser:
         return AsltNode(TYPE_REFERENCE, attributes, (), self.span_from(start))
 
     def block(self) -> AsltNode:
-        start = self.expect("punctuation", "{")
+        start = self.expect("{")
         statements: list[AsltNode] = []
-        while not self.at("punctuation", "}"):
+        while not self.take("}"):
             statements.append(self.statement())
-        self.expect("punctuation", "}")
         return AsltNode(BLOCK, {}, tuple(statements), self.span_from(start))
 
     def statement(self) -> AsltNode:
-        if self.at("keyword", "return"):
-            return self.return_statement()
-        if self.at("keyword") and self.peek().lexeme in PRIMITIVE_TYPE_KEYWORDS:
-            return self.variable_declaration()
-        if self.at("identifier"):
-            if self.looks_like_declaration():
+        start = self.tokens[self.pos]
+        if start.category == "identifier":
+            if self.declaration_follows():
                 return self.variable_declaration()
-            if self.peek(1).category == "operator" and self.peek(1).lexeme == "=":
+            if self.tokens[self.pos + 1].lexeme == "=":
                 return self.assignment_statement()
-        start = self.peek()
-        if start.category == END_OF_INPUT or start.lexeme == "}":
+        elif start.lexeme == "return":
+            return self.return_statement()
+        elif start.lexeme in PRIMITIVE_TYPE_KEYWORDS:
+            return self.variable_declaration()
+        elif start.category == END_OF_INPUT:
             self.fail({"statement"})
         expression = self.expression(5)
-        self.expect("punctuation", ";")
+        self.expect(";")
         return AsltNode(EXPRESSION_STATEMENT, {}, (expression,), self.span_from(start))
 
-    def looks_like_declaration(self) -> bool:
-        """A qualified name (with optional ``[]``) followed by an identifier."""
-        saved = self.pos
-        try:
-            self.type_reference()
-            return self.at("identifier")
-        except ParseError:
-            return False
-        finally:
-            self.pos = saved
+    def declaration_follows(self) -> bool:
+        """Whether the tokens from the current one, an identifier, begin
+        ``IDENT ("." IDENT)* ("[" "]")* IDENT``: a variable declaration."""
+        tokens, pos = self.tokens, self.pos + 1
+        while tokens[pos].lexeme == "." and tokens[pos + 1].category == "identifier":
+            pos += 2
+        while tokens[pos].lexeme == "[" and tokens[pos + 1].lexeme == "]":
+            pos += 2
+        return tokens[pos].category == "identifier"
 
     def variable_declaration(self) -> AsltNode:
-        start = self.peek()
+        start = self.tokens[self.pos]
         declared = self.type_reference()
         if declared.attributes["name"] == "void":
             raise ParseError(
                 "void is only valid as a method return type", start.line, start.column
             )
         declarators = [self.declarator()]
-        while self.accept("punctuation", ","):
+        while self.take(","):
             declarators.append(self.declarator())
-        self.expect("punctuation", ";")
+        self.expect(";")
         return AsltNode(
             VARIABLE_DECLARATION, {}, (declared, *declarators), self.span_from(start)
         )
 
     def declarator(self) -> AsltNode:
-        start = self.peek()
-        name = self.expect("identifier").lexeme
+        start = self.identifier()
         initializer: tuple[AsltNode, ...] = ()
-        if self.accept("operator", "="):
+        if self.take("="):
             initializer = (self.expression(6),)
-        return AsltNode(VARIABLE_DECLARATOR, {"name": name}, initializer, self.span_from(start))
+        return AsltNode(
+            VARIABLE_DECLARATOR, {"name": start.lexeme}, initializer, self.span_from(start)
+        )
 
     def assignment_statement(self) -> AsltNode:
-        start = self.peek()
-        target_token = self.expect("identifier")
-        target = AsltNode(
-            IDENTIFIER_EXPRESSION, {"name": target_token.lexeme}, (), self.span_from(target_token)
-        )
-        self.expect("operator", "=")
+        start = self.tokens[self.pos]
+        self.pos += 1  # the identifier, then '=', both seen by statement()
+        target = AsltNode(IDENTIFIER_EXPRESSION, {"name": start.lexeme}, (), self.span_from(start))
+        self.pos += 1
         value = self.expression(6)
         assignment = AsltNode(
             SIMPLE_ASSIGNMENT_EXPRESSION, {}, (target, value), self.span_from(start)
         )
-        self.expect("punctuation", ";")
+        self.expect(";")
         return AsltNode(EXPRESSION_STATEMENT, {}, (assignment,), self.span_from(start))
 
     def return_statement(self) -> AsltNode:
-        start = self.expect("keyword", "return")
+        start = self.tokens[self.pos]
+        self.pos += 1  # 'return', seen by statement()
         value: tuple[AsltNode, ...] = ()
-        if not self.at("punctuation", ";"):
+        if self.tokens[self.pos].lexeme != ";":
             value = (self.expression(5),)
-        self.expect("punctuation", ";")
+        self.expect(";")
         return AsltNode(RETURN_STATEMENT, {}, value, self.span_from(start))
 
     def expression(self, depth: int) -> AsltNode:
@@ -627,52 +626,46 @@ class _Parser:
         Statements are at level 4 (unit, class, method, block), so their
         expressions start at level 5 or 6; a field initializer is at 3.
         """
-        self.check_depth(depth)
-        token = self.peek()
-        if token.category in LITERAL_CATEGORIES:
-            self.advance()
-            attributes = {"value": token.lexeme, "category": LITERAL_CATEGORIES[token.category]}
-            return AsltNode(LITERAL_TAG, attributes, (), self.span_from(token))
-        if self.at("keyword", "new"):
-            return self.new_expression(depth)
-        if self.at("identifier"):
-            if self.peek(1).lexeme == "(":
-                return self.invocation(depth, receiver=None)
+        if depth > MAX_DEPTH:
+            self.fail(set(), f"nesting deeper than {MAX_DEPTH} levels")
+        tokens, pos = self.tokens, self.pos
+        token = tokens[pos]
+        category = token.category
+        if category == "identifier":
+            following = tokens[pos + 1].lexeme
+            if following == "(":
+                return self.invocation(depth, None, token)
+            self.pos = pos + 1
+            name = AsltNode(IDENTIFIER_EXPRESSION, {"name": token.lexeme}, (), self.span_from(token))
             if (
-                self.peek(1).lexeme == "."
-                and self.peek(2).category == "identifier"
-                and self.peek(3).lexeme == "("
+                following == "."
+                and tokens[pos + 2].category == "identifier"
+                and tokens[pos + 3].lexeme == "("
             ):
-                receiver_token = self.advance()
-                receiver = AsltNode(
-                    IDENTIFIER_EXPRESSION,
-                    {"name": receiver_token.lexeme},
-                    (),
-                    self.span_from(receiver_token),
-                )
-                self.advance()  # '.'
-                return self.invocation(depth, receiver=receiver, start=receiver_token)
-            name_token = self.advance()
-            return AsltNode(
-                IDENTIFIER_EXPRESSION, {"name": name_token.lexeme}, (), self.span_from(name_token)
-            )
+                self.pos = pos + 2
+                return self.invocation(depth, name, token)
+            return name
+        if category in LITERAL_CATEGORIES:
+            self.pos = pos + 1
+            attributes = {"value": token.lexeme, "category": LITERAL_CATEGORIES[category]}
+            return AsltNode(LITERAL_TAG, attributes, (), self.span_from(token))
+        if token.lexeme == "new":
+            return self.new_expression(depth)
         return self.fail({"expression"})
 
-    def invocation(
-        self, depth: int, receiver: AsltNode | None, start: Token | None = None
-    ) -> AsltNode:
-        name_token = self.expect("identifier")
+    def invocation(self, depth: int, receiver: AsltNode | None, start: Token) -> AsltNode:
+        """A call whose name is the current token, an identifier followed by '('."""
+        name = self.tokens[self.pos].lexeme
+        self.pos += 1
         arguments = self.argument_list(depth + 1)
         children = (receiver, arguments) if receiver is not None else (arguments,)
         return AsltNode(
-            METHOD_INVOKE_EXPRESSION,
-            {"name": name_token.lexeme},
-            children,
-            self.span_from(start or name_token),
+            METHOD_INVOKE_EXPRESSION, {"name": name}, children, self.span_from(start)
         )
 
     def new_expression(self, depth: int) -> AsltNode:
-        start = self.expect("keyword", "new")
+        start = self.tokens[self.pos]
+        self.pos += 1  # 'new', seen by expression()
         declared = self.type_reference()
         if declared.attributes["name"] == "void" or "dims" in declared.attributes:
             raise ParseError(
@@ -684,14 +677,15 @@ class _Parser:
         )
 
     def argument_list(self, depth: int) -> AsltNode:
-        self.check_depth(depth)
-        start = self.expect("punctuation", "(")
+        if depth > MAX_DEPTH:
+            self.fail(set(), f"nesting deeper than {MAX_DEPTH} levels")
+        start = self.expect("(")
         arguments: list[AsltNode] = []
-        if not self.at("punctuation", ")"):
+        if not self.take(")"):
             arguments.append(self.expression(depth + 1))
-            while self.accept("punctuation", ","):
+            while self.take(","):
                 arguments.append(self.expression(depth + 1))
-        self.expect("punctuation", ")")
+            self.expect(")")
         return AsltNode(ARGUMENT_LIST, {}, tuple(arguments), self.span_from(start))
 
 

@@ -37,8 +37,6 @@ KNOWN_KEYS = frozenset(
     (KEY_PATH, KEY_ASLT_EXTENSION, KEY_CLASS_EXTENSION, KEY_DEBUG_LEVEL) + NODE_KIND_KEYS
 )
 
-DEBUG_LEVELS = (0, 1, 2)
-
 
 class ConfigError(Exception):
     """Raised when the configuration cannot be parsed or validated."""
@@ -141,11 +139,11 @@ def load_config(kv: Mapping[str, str], base_dir: Path | str | None = None) -> Pr
             )
 
     raw_level = kv.get(KEY_DEBUG_LEVEL, "0")
-    if not raw_level or not all(c in "0123456789" for c in raw_level):
+    # Compared as digit strings, since int() refuses more than 4300 digits.
+    digits = raw_level.lstrip("0") or "0"
+    if not raw_level or digits not in ("0", "1", "2"):
         raise InvalidDebugLevelError(raw_level)
-    debug_level = int(raw_level, 10)
-    if debug_level not in DEBUG_LEVELS:
-        raise InvalidDebugLevelError(raw_level)
+    debug_level = int(digits)
 
     node_kinds: dict[str, str] = {}
     for key in NODE_KIND_KEYS:

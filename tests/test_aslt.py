@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from compatcheck import aslt
+from compatcheck import aslt, cli
 from compatcheck.aslt import (
     AsltFormatError,
     AsltNode,
@@ -630,6 +630,16 @@ def test_parse_rejects_too_many_array_dimensions():
     assert str(exc.value) == f"1:18: array type with more than {aslt.MAX_ARRAY_DIMS} dimensions"
 
 
+# A local declaration is told from an expression by a look ahead over the
+# tokens, so a type with too many dimensions fails there as it does elsewhere.
+@pytest.mark.parametrize("type_name", ["A", "a.b.C", "int"])
+def test_parse_rejects_too_many_array_dimensions_in_a_local_declaration(type_name):
+    dims = "[]" * (aslt.MAX_ARRAY_DIMS + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"class A {{ void m() {{ {type_name}{dims} x = y; }} }}")
+    assert str(exc.value) == f"1:22: array type with more than {aslt.MAX_ARRAY_DIMS} dimensions"
+
+
 def test_check_names_accepts_parsed_trees():
     aslt.check_names(read_aslt(write_aslt(parse_source("class A { int[][] a; void m(B b) { } }"))))
     rng = random.Random(0xC4EC)
@@ -761,3 +771,80 @@ def test_parsed_spans_are_unchanged():
             (aslt.IDENTIFIER_EXPRESSION, 5, 22, 5, 23),
         ]
     ]
+
+
+# ---------------------------------------------------------------------------
+# Parser invariants
+# ---------------------------------------------------------------------------
+
+def _sample_sources() -> list[str]:
+    rng = random.Random(0x1E4E)
+    sources = [print_source(random_program_tree(rng)) for _ in range(200)]
+    return sources + list(cli._TESTBED_SOURCES.values())
+
+
+def test_reserved_lexemes_have_one_category():
+    # The parser matches keywords, punctuation and '=' by lexeme alone.
+    reserved = {word: "keyword" for word in aslt.KEYWORDS}
+    reserved.update((mark, "punctuation") for mark in ";,(){}[].")
+    reserved["="] = "operator"
+    seen = set()
+    for source in _sample_sources():
+        for token in tokenize(source):
+            if token.lexeme in reserved:
+                assert token.category == reserved[token.lexeme], token
+                seen.add(token.lexeme)
+            else:
+                assert token.category not in ("keyword", "punctuation", "operator"), token
+    assert seen == set(reserved)
+
+
+def test_parse_builds_one_span_per_node(monkeypatch):
+    made = []
+
+    class CountingSpan(Span):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            made.append(None)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(aslt, "Span", CountingSpan)
+    for source in _sample_sources():
+        made.clear()
+        tree = parse_source(source, file_name="F.java")
+        assert len(made) == sum(1 for _ in iter_nodes(tree))
+
+
+_MUTATION_LEXEMES = (
+    sorted(aslt.KEYWORDS)
+    + list(";,(){}[].=")
+    + ["a", "b", "Foo", "util", "1", "2.5", '"s"', "'c'", "true"]
+)
+
+
+def test_token_mutations_parse_or_raise_a_parse_error():
+    rng = random.Random(0x3A7E)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(2000):
+        lexemes = [t.lexeme for t in tokenize(print_source(random_program_tree(rng)))[:-1]]
+        for _ in range(rng.randrange(1, 4)):
+            index = rng.randrange(len(lexemes))
+            roll = rng.randrange(4)
+            if roll == 0:
+                del lexemes[index]
+            elif roll == 1:
+                lexemes.insert(index, rng.choice(_MUTATION_LEXEMES))
+            elif roll == 2:
+                lexemes[index] = rng.choice(_MUTATION_LEXEMES)
+            else:
+                lexemes.insert(index, lexemes[index])
+        source = "".join(lexeme + rng.choice((" ", "\n")) for lexeme in lexemes)
+        try:
+            tree = parse_source(source, file_name="M.java")
+        except (ParseError, LexicalError):
+            outcomes["rejected"] += 1
+            continue
+        assert parse_source(print_source(tree), file_name="M.java") == tree
+        outcomes["parsed"] += 1
+    assert outcomes["parsed"] > 0 and outcomes["rejected"] > 0

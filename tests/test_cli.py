@@ -653,6 +653,18 @@ def test_main_invalid_config_contents(tmp_path, capsys):
     assert "PathToApplication" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, code", [("0" * 5000, 0), ("1" + "0" * 5000, 2)], ids=["5000-zeros", "1-then-5000-zeros"]
+)
+def test_main_run_takes_a_debug_level_of_any_length(testbed, capsys, raw, code):
+    config = testbed / "constants.properties"
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("DebugLevel=1\n", f"DebugLevel={raw}\n"), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else f"error: DebugLevel must be one of 0, 1, 2; got {raw!r}\n")
+
+
 def _set_aslt_extension(root, extension):
     path = root / "constants.properties"
     text = path.read_text(encoding="utf-8")

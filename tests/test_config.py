@@ -95,6 +95,27 @@ def test_load_rejects_non_numeric_debug_level():
             load_config({"PathToApplication": "/p", "DebugLevel": bad})
 
 
+# int() refuses strings of more than 4300 digits, so the longest values
+# would raise ValueError if the level were converted before it was checked.
+@pytest.mark.parametrize(
+    "raw, level",
+    [("0", 0), ("00", 0), ("01", 1), ("002", 2), ("0" * 5000, 0), ("0" * 5000 + "2", 2)],
+    ids=["0", "00", "01", "002", "5000-zeros", "5000-zeros-then-2"],
+)
+def test_load_accepts_debug_levels_with_leading_zeros(raw, level):
+    assert load_config({"PathToApplication": "/p", "DebugLevel": raw}).debug_level == level
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["10", "0" * 5000 + "3", "1" + "0" * 5000, "9" * 5000, "\u0661"],
+    ids=["10", "5000-zeros-then-3", "1-then-5000-zeros", "5000-nines", "arabic-one"],
+)
+def test_load_rejects_out_of_range_debug_levels_of_any_length(raw):
+    with pytest.raises(InvalidDebugLevelError):
+        load_config({"PathToApplication": "/p", "DebugLevel": raw})
+
+
 def test_load_defaults():
     cfg = load_config({"PathToApplication": "/p"})
     assert cfg.aslt_file_extension == ".aslt"
