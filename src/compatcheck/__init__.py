@@ -19,7 +19,6 @@ from .analysis import (
     get_all_method_calls,
     get_all_variables_types,
     get_class_infos,
-    index_bindings,
     index_classes,
     method_called,
     resolve_argument_type,
@@ -88,7 +87,6 @@ __all__ = [
     "get_all_method_calls",
     "get_all_variables_types",
     "get_class_infos",
-    "index_bindings",
     "index_classes",
     "load_config",
     "load_config_file",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import aslt
 from .aslt import AsltNode
@@ -72,10 +72,12 @@ UNCONSTRAINED = Unconstrained()
 
 @dataclass(frozen=True, slots=True)
 class Scope:
-    """Where a name is visible: a class, optionally narrowed to a method."""
+    """Where a name is visible: a class, or one method declaration in it, told
+    apart from its overloads by its ``position`` among the unit's members."""
 
     class_name: str
     method_name: str | None = None
+    position: int | None = None
 
     def __str__(self) -> str:
         if self.method_name:
@@ -100,8 +102,8 @@ class VariableBinding:
     scope: Scope
 
 
-# (class, method or None for fields, variable name) -> binding.
-BindingIndex = dict[tuple[str, str | None, str], VariableBinding]
+# One unit's (class, method's position or None for fields, variable name) -> binding.
+BindingIndex = dict[tuple[str, int | None, str], VariableBinding]
 # Qualified name -> class.
 ClassIndex = dict[str, ClassInfo]
 # An expression whose calls are still to be extracted, with its scope and
@@ -180,65 +182,54 @@ def get_class_infos(config: ProjectConfig) -> tuple[list[ClassInfo], list[Diagno
 # Variable bindings
 # ---------------------------------------------------------------------------
 
-def get_all_variables_types(tree: AsltNode) -> tuple[list[VariableBinding], list[Diagnostic]]:
-    """One binding per field, parameter and local declarator, in source order.
+def _members(tree: AsltNode) -> Iterator[tuple[Scope, AsltNode]]:
+    """Each field and method declaration in source order, with its names' scope."""
+    classes = (node for node in tree.children if node.kind == aslt.CLASS_DECLARATION)
+    members = ((c.attributes.get("name", ""), member) for c in classes for member in c.children)
+    for position, (class_name, member) in enumerate(members):
+        if member.kind == aslt.METHOD_DECLARATION:
+            yield Scope(class_name, member.attributes.get("name", ""), position), member
+        elif member.kind == aslt.FIELD_DECLARATION:
+            yield Scope(class_name), member
+
+
+def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnostic]]:
+    """The unit's field, parameter and local bindings, keyed for lookup, in source order.
 
     A duplicate name in the same scope yields a diagnostic; the first
     binding stands.
     """
-    bindings: list[VariableBinding] = []
+    bindings: BindingIndex = {}
     diagnostics: list[Diagnostic] = []
     file_name = tree.attributes.get("file", "")
-    seen: set[tuple[Scope, str]] = set()
 
-    def add(name: str, declared: TypeName, scope: Scope) -> None:
-        key = (scope, name)
-        if key in seen:
-            diagnostics.append(
-                Diagnostic(file_name, f"duplicate variable {name!r} in scope {scope}")
-            )
+    def add(declaration: AsltNode, namers: Iterable[AsltNode], scope: Scope) -> None:
+        """Bind the name of each of ``namers`` to the declaration's type, if any."""
+        declared = _declared_type(declaration)
+        if declared is None:
             return
-        seen.add(key)
-        bindings.append(VariableBinding(name, declared, scope))
+        for namer in namers:
+            name = namer.attributes.get("name", "")
+            key = (scope.class_name, scope.position, name)
+            if key in bindings:
+                diagnostics.append(
+                    Diagnostic(file_name, f"duplicate variable {name!r} in scope {scope}")
+                )
+            else:
+                bindings[key] = VariableBinding(name, declared, scope)
 
-    for class_node in tree.children:
-        if class_node.kind != aslt.CLASS_DECLARATION:
+    for scope, member in _members(tree):
+        if member.kind == aslt.FIELD_DECLARATION:
+            add(member, (member,), scope)
             continue
-        class_scope = Scope(class_node.attributes.get("name", ""))
-        for member in class_node.children:
-            if member.kind == aslt.FIELD_DECLARATION:
-                declared = _declared_type(member)
-                if declared is not None:
-                    add(member.attributes.get("name", ""), declared, class_scope)
-            elif member.kind == aslt.METHOD_DECLARATION:
-                scope = Scope(class_scope.class_name, member.attributes.get("name", ""))
-                for child in member.children:
-                    if child.kind == aslt.PARAMETER_DECLARATION:
-                        declared = _declared_type(child)
-                        if declared is not None:
-                            add(child.attributes.get("name", ""), declared, scope)
-                    elif child.kind == aslt.BLOCK:
-                        for node in aslt.iter_nodes(child):
-                            if node.kind != aslt.VARIABLE_DECLARATION:
-                                continue
-                            declared = _declared_type(node)
-                            if declared is None:
-                                continue
-                            for declarator in node.children[1:]:
-                                add(declarator.attributes.get("name", ""), declared, scope)
+        for child in member.children:
+            if child.kind == aslt.PARAMETER_DECLARATION:
+                add(child, (child,), scope)
+            elif child.kind == aslt.BLOCK:
+                for node in aslt.iter_nodes(child):
+                    if node.kind == aslt.VARIABLE_DECLARATION:
+                        add(node, node.children[1:], scope)
     return bindings, diagnostics
-
-
-def index_bindings(bindings: Iterable[VariableBinding]) -> BindingIndex:
-    """Key every binding by (class, method or None for fields, name).
-
-    The first binding of a key, in project order, stands.
-    """
-    index: BindingIndex = {}
-    for binding in bindings:
-        scope = binding.scope
-        index.setdefault((scope.class_name, scope.method_name, binding.variable_name), binding)
-    return index
 
 
 def index_classes(classes: Iterable[ClassInfo]) -> ClassIndex:
@@ -250,11 +241,9 @@ def index_classes(classes: Iterable[ClassInfo]) -> ClassIndex:
 
 
 def _lookup_binding(name: str, bindings: BindingIndex, scope: Scope) -> VariableBinding | None:
-    """Innermost match: method scope first, then the class's fields."""
-    binding = None
-    if scope.method_name is not None:
-        binding = bindings.get((scope.class_name, scope.method_name, name))
-    if binding is None:
+    """Innermost match: the method declaration first, then the class's fields."""
+    binding = bindings.get((scope.class_name, scope.position, name))
+    if binding is None and scope.position is not None:
         binding = bindings.get((scope.class_name, None, name))
     return binding
 
@@ -282,8 +271,8 @@ def resolve_argument_type(
 ) -> TypeName | Unresolved:
     """Static type of an argument expression, or Unresolved.
 
-    ``bindings`` and ``classes`` are the project's :func:`index_bindings`
-    and :func:`index_classes`, so every name costs one or two dictionary
+    ``bindings`` are the unit's :func:`get_all_variables_types` and ``classes``
+    the project's :func:`index_classes`, so every name costs one or two dictionary
     lookups.  Identifiers use the innermost binding; literals map to their
     category's type; ``new T(...)`` is ``T``; a nested invocation resolves
     only when its target signature is unique.
@@ -325,10 +314,10 @@ def get_all_method_calls(
 ) -> list[CallSite]:
     """Every invocation (and object creation, as ``<init>``) in source order.
 
-    ``bindings`` and ``classes`` are built once per run by
-    :func:`index_bindings` over every tree's bindings and by
-    :func:`index_classes` over the scanned classes.  Extraction only looks
-    names up in them, so its cost per call does not grow with the project.
+    ``bindings`` are the unit's own :func:`get_all_variables_types`, and
+    ``classes`` is built once per run by :func:`index_classes`.  Extraction
+    only looks names up in them, so a name resolves within its compilation
+    unit and the cost per call does not grow with the project.
 
     The expected return type is taken from context: the declared type of an
     initialized declarator or field, or the bound type of an assignment's
@@ -337,20 +326,13 @@ def get_all_method_calls(
     # Top-level expressions with their scope and expected return type, in
     # source order.
     roots: list[_Pending] = []
-    for class_node in tree.children:
-        if class_node.kind != aslt.CLASS_DECLARATION:
-            continue
-        class_name = class_node.attributes.get("name", "")
-        for member in class_node.children:
-            if member.kind == aslt.FIELD_DECLARATION and len(member.children) == 2:
-                declared = _declared_type(member) or UNCONSTRAINED
-                roots.append((member.children[1], Scope(class_name), declared))
-            elif member.kind == aslt.METHOD_DECLARATION:
-                scope = Scope(class_name, member.attributes.get("name", ""))
-                block = member.first(aslt.BLOCK)
-                if block is not None:
-                    for statement in block.children:
-                        _add_statement_roots(statement, scope, bindings, roots)
+    for scope, member in _members(tree):
+        if member.kind == aslt.METHOD_DECLARATION:
+            block = member.first(aslt.BLOCK)
+            for statement in block.children if block is not None else ():
+                _add_statement_roots(statement, scope, bindings, roots)
+        elif len(member.children) == 2:  # an initialized field
+            roots.append((member.children[1], scope, _declared_type(member) or UNCONSTRAINED))
 
     # Preorder over the roots: a call comes before the calls in its arguments.
     calls: list[CallSite] = []

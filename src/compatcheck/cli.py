@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import analysis, aslt
 from .analysis import CallSite, MismatchReport
@@ -145,17 +145,14 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
 
     run.aslt_trees = dict(sorted(trees.items()))
 
-    bindings: list[analysis.VariableBinding] = []
-    for name in sorted(run.aslt_trees):
-        tree_bindings, binding_diagnostics = analysis.get_all_variables_types(run.aslt_trees[name])
-        bindings.extend(tree_bindings)
-        run.diagnostics.extend(binding_diagnostics)
-    binding_index = analysis.index_bindings(bindings)
+    # Each unit is bound and extracted on its own, so its names resolve within it.
     class_index = analysis.index_classes(run.class_infos)
-    for name in sorted(run.aslt_trees):
-        run.call_sites.extend(
-            analysis.get_all_method_calls(run.aslt_trees[name], binding_index, class_index)
-        )
+    first_declared: dict[str, str] = {}
+    for name, tree in run.aslt_trees.items():
+        run.diagnostics.extend(_duplicate_classes(name, tree, first_declared))
+        bindings, binding_diagnostics = analysis.get_all_variables_types(tree)
+        run.diagnostics.extend(binding_diagnostics)
+        run.call_sites.extend(analysis.get_all_method_calls(tree, bindings, class_index))
     run.reports = analysis.method_called(run.call_sites, run.class_infos, widening=widening)
 
     if unrecoverable:
@@ -165,6 +162,23 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
     else:
         run.exit_code = EXIT_OK
     return run
+
+
+def _duplicate_classes(
+    file_name: str, tree: aslt.AsltNode, first_declared: dict[str, str]
+) -> Iterator[Diagnostic]:
+    """A warning for each class of the unit that ``first_declared``, from a
+    package-qualified name to the file that declared it first, already holds."""
+    package = tree.first(aslt.PACKAGE_DECLARATION)
+    prefix = package.attributes.get("name", "") + "." if package is not None else ""
+    for class_node in tree.children:
+        if class_node.kind == aslt.CLASS_DECLARATION:
+            qualified = prefix + class_node.attributes.get("name", "")
+            if qualified in first_declared:
+                first = first_declared[qualified]
+                yield Diagnostic(file_name, f"duplicate class {qualified!r}, first declared in {first}")
+            else:
+                first_declared[qualified] = file_name
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,9 @@ class MissingKeyError(ConfigError):
 
 class InvalidDebugLevelError(ConfigError):
     def __init__(self, value: str):
-        super().__init__(f"DebugLevel must be one of 0, 1, 2; got {value!r}")
+        # A value longer than 20 characters is echoed as a prefix and its length.
+        shown = repr(value[:20]) + (f"... ({len(value)} characters)" if len(value) > 20 else "")
+        super().__init__(f"DebugLevel must be one of 0, 1, 2; got {shown}")
         self.value = value
 
 

@@ -169,9 +169,10 @@ def oracle_reports(
 def oracle_lookup_binding(
     name: str, bindings: list[VariableBinding], scope: Scope
 ) -> VariableBinding | None:
-    """Innermost binding by list scan: the method scope first, then the
-    class's fields; within a scope the first binding in project order wins."""
-    if scope.method_name is not None:
+    """Innermost binding by list scan over one unit's bindings: the method
+    declaration first, then the class's fields; within a scope the first
+    binding in source order wins."""
+    if scope.position is not None:
         for binding in bindings:
             if binding.variable_name == name and binding.scope == scope:
                 return binding

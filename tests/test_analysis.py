@@ -13,7 +13,6 @@ from compatcheck.analysis import (
     get_all_method_calls,
     get_all_variables_types,
     get_class_infos,
-    index_bindings,
     index_classes,
     method_called,
     resolve_argument_type,
@@ -68,7 +67,12 @@ def _calls_for(source, classes, file_name="SampleClassA.java"):
     tree = parse_source(source, file_name=file_name)
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    return get_all_method_calls(tree, index_bindings(bindings), index_classes(classes))
+    return get_all_method_calls(tree, bindings, index_classes(classes))
+
+
+def _keyed(*bindings):
+    """Bindings built by hand, keyed as get_all_variables_types keys them."""
+    return {(b.scope.class_name, b.scope.position, b.variable_name): b for b in bindings}
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +82,13 @@ def _calls_for(source, classes, file_name="SampleClassA.java"):
 def test_string_variable_binding():
     tree = parse_source(SAMPLE_CALLER_SOURCE, file_name="SampleClassA.java")
     bindings, _ = get_all_variables_types(tree)
-    assert VariableBinding("str", STRING, Scope("SampleClassA", "m")) in bindings
+    assert VariableBinding("str", STRING, Scope("SampleClassA", "m", 0)) in bindings.values()
 
 
 def test_no_declarations_no_bindings():
     tree = parse_source("class A { void m() { run(); } }")
     bindings, _ = get_all_variables_types(tree)
-    assert bindings == []
+    assert bindings == {}
 
 
 def test_field_parameter_and_local_bindings_in_source_order():
@@ -92,10 +96,10 @@ def test_field_parameter_and_local_bindings_in_source_order():
         "class A { int n; void m(long p) { char c; } }", file_name="A.java"
     )
     bindings, _ = get_all_variables_types(tree)
-    assert bindings == [
-        VariableBinding("n", INT, Scope("A")),
-        VariableBinding("p", TypeName("long"), Scope("A", "m")),
-        VariableBinding("c", TypeName("char"), Scope("A", "m")),
+    assert list(bindings.items()) == [
+        (("A", None, "n"), VariableBinding("n", INT, Scope("A"))),
+        (("A", 1, "p"), VariableBinding("p", TypeName("long"), Scope("A", "m", 1))),
+        (("A", 1, "c"), VariableBinding("c", TypeName("char"), Scope("A", "m", 1))),
     ]
 
 
@@ -104,18 +108,102 @@ def test_parameter_shadows_field_inside_method():
     bindings, _ = get_all_variables_types(tree)
     assert len(bindings) == 2
     argument = aslt.AsltNode(aslt.IDENTIFIER_EXPRESSION, {"name": "n"})
-    inside = resolve_argument_type(argument, index_bindings(bindings), {}, Scope("A", "m"))
+    inside = resolve_argument_type(argument, bindings, {}, Scope("A", "m", 1))
     assert inside == STRING
-    at_class_level = resolve_argument_type(argument, index_bindings(bindings), {}, Scope("A"))
+    at_class_level = resolve_argument_type(argument, bindings, {}, Scope("A"))
     assert at_class_level == INT
 
 
 def test_duplicate_binding_keeps_first_and_reports():
     tree = parse_source("class A { void m() { int x; long x; } }", file_name="A.java")
     bindings, diagnostics = get_all_variables_types(tree)
-    assert bindings == [VariableBinding("x", INT, Scope("A", "m"))]
-    assert len(diagnostics) == 1
-    assert "x" in diagnostics[0].message
+    assert list(bindings.values()) == [VariableBinding("x", INT, Scope("A", "m", 0))]
+    assert [d.message for d in diagnostics] == ["duplicate variable 'x' in scope A.m"]
+
+
+def test_same_named_classes_in_one_unit_keep_their_methods_apart():
+    tree = parse_source("class A { void m() { int x; } } class A { void n() { long x; } }")
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert diagnostics == []
+    assert [b.scope for b in bindings.values()] == [Scope("A", "m", 0), Scope("A", "n", 1)]
+
+
+TAKER = ClassInfo(
+    "B",
+    methods=(
+        MethodSignature("<init>", (), VOID),
+        MethodSignature("takeInt", (INT,), VOID),
+        MethodSignature("takeStr", (STRING,), VOID),
+        MethodSignature("pair", (INT, TypeName("long")), VOID),
+    ),
+)
+
+
+def test_overloads_bind_their_own_parameters():
+    source = """class A {
+    void m(int a) {
+        B b = new B();
+        b.takeInt(a);
+    }
+    void m(String a) {
+        B b = new B();
+        b.takeStr(a);
+    }
+}
+"""
+    tree = parse_source(source, file_name="A.java")
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert diagnostics == []
+    assert [(b.variable_name, b.declared_type, b.scope) for b in bindings.values()] == [
+        ("a", INT, Scope("A", "m", 0)),
+        ("b", TypeName("B"), Scope("A", "m", 0)),
+        ("a", STRING, Scope("A", "m", 1)),
+        ("b", TypeName("B"), Scope("A", "m", 1)),
+    ]
+    calls = get_all_method_calls(tree, bindings, index_classes([TAKER]))
+    assert [(str(c), c.argument_types) for c in calls if c.invoked_name != "<init>"] == [
+        ("B.takeInt", (INT,)),
+        ("B.takeStr", (STRING,)),
+    ]
+    assert method_called(calls, [TAKER]) == []
+
+
+def test_overloads_of_different_arity_reuse_local_names():
+    source = """class A {
+    void m(int a) {
+        long t;
+        B b = new B();
+        b.pair(a, t);
+    }
+    void m(int a, String s) {
+        String t = s;
+        B b = new B();
+        b.takeStr(t);
+        b.takeInt(a);
+    }
+}
+"""
+    calls = _calls_for(source, [TAKER], file_name="A.java")
+    assert [(c.caller_method, str(c), c.argument_types) for c in calls if c.invoked_name != "<init>"] == [
+        ("m", "B.pair", (INT, TypeName("long"))),
+        ("m", "B.takeStr", (STRING,)),
+        ("m", "B.takeInt", (INT,)),
+    ]
+    assert method_called(calls, [TAKER]) == []
+
+
+def test_duplicate_in_one_overload_is_reported_once():
+    tree = parse_source(
+        "class A { void m(int a) { int x; long x; } void m(String a) { int x; } }",
+        file_name="A.java",
+    )
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert [(d.file, d.message) for d in diagnostics] == [
+        ("A.java", "duplicate variable 'x' in scope A.m")
+    ]
+    assert bindings[("A", 0, "x")].declared_type == INT
+    assert bindings[("A", 1, "x")].declared_type == INT
+    assert bindings[("A", 1, "a")].declared_type == STRING
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +219,16 @@ def _literal(value, category):
 
 
 def test_resolve_bound_identifier():
-    bindings = [VariableBinding("str", STRING, Scope("A", "m"))]
-    assert resolve_argument_type(_ident("str"), index_bindings(bindings), {}, Scope("A", "m")) == STRING
+    bindings = _keyed(VariableBinding("str", STRING, Scope("A", "m", 0)))
+    assert resolve_argument_type(_ident("str"), bindings, {}, Scope("A", "m", 0)) == STRING
 
 
 def test_resolve_unbound_identifier():
-    assert resolve_argument_type(_ident("ghost"), {}, {}, Scope("A", "m")) is UNRESOLVED
+    assert resolve_argument_type(_ident("ghost"), {}, {}, Scope("A", "m", 0)) is UNRESOLVED
 
 
 def test_resolve_literal_categories():
-    scope = Scope("A", "m")
+    scope = Scope("A", "m", 0)
     assert resolve_argument_type(_literal("5", "integer"), {}, {}, scope) == INT
     assert resolve_argument_type(_literal("1.5", "floating"), {}, {}, scope) == TypeName("double")
     assert resolve_argument_type(_literal('"x"', "string"), {}, {}, scope) == STRING
@@ -157,22 +245,24 @@ def test_resolve_new_expression():
             aslt.AsltNode(aslt.ARGUMENT_LIST),
         ),
     )
-    assert resolve_argument_type(node, {}, {}, Scope("A", "m")) == TypeName("SampleClassB")
+    assert resolve_argument_type(node, {}, {}, Scope("A", "m", 0)) == TypeName("SampleClassB")
 
 
 def test_resolve_nested_invocation_unique_target():
-    bindings = [VariableBinding("b", TypeName("SampleClassB"), Scope("A", "m"))]
+    scope = Scope("A", "m", 0)
+    bindings = _keyed(VariableBinding("b", TypeName("SampleClassB"), scope))
     node = aslt.AsltNode(
         aslt.METHOD_INVOKE_EXPRESSION,
         {"name": "getNumber"},
         (_ident("b"), aslt.AsltNode(aslt.ARGUMENT_LIST)),
     )
     classes = [ClassInfo("SampleClassB", methods=(MethodSignature("getNumber", (), INT),))]
-    assert resolve_argument_type(node, index_bindings(bindings), index_classes(classes), Scope("A", "m")) == INT
+    assert resolve_argument_type(node, bindings, index_classes(classes), scope) == INT
 
 
 def test_resolve_nested_invocation_ambiguous_overload():
-    bindings = [VariableBinding("b", TypeName("B"), Scope("A", "m"))]
+    scope = Scope("A", "m", 0)
+    bindings = _keyed(VariableBinding("b", TypeName("B"), scope))
     node = aslt.AsltNode(
         aslt.METHOD_INVOKE_EXPRESSION,
         {"name": "f"},
@@ -187,7 +277,7 @@ def test_resolve_nested_invocation_ambiguous_overload():
             ),
         )
     ]
-    assert resolve_argument_type(node, index_bindings(bindings), index_classes(classes), Scope("A", "m")) is UNRESOLVED
+    assert resolve_argument_type(node, bindings, index_classes(classes), scope) is UNRESOLVED
 
 
 # ---------------------------------------------------------------------------
@@ -465,64 +555,87 @@ def test_oracle_equivalence_random_projects():
 # Symbol index
 # ---------------------------------------------------------------------------
 
-LOOKUP_CLASSES = ("A", "B", "p.A")
-LOOKUP_METHODS = ("m", "n", "o")
+LOOKUP_CLASSES = ("A", "B", "C")
+LOOKUP_METHODS = ("m", "n")
 LOOKUP_NAMES = ("x", "y", "z", "w")  # "w" is never bound
-LOOKUP_TYPES = (INT, STRING, TypeName("long"), TypeName("int", 1))
+# Source spelling -> the type it binds.
+LOOKUP_TYPES = {"int": INT, "String": STRING, "long": TypeName("long"), "int[]": TypeName("int", 1)}
 
 
-def _random_project_bindings(rng):
-    """Bindings of several files in project order, as run_analysis collects
-    them: unique per scope within a file, repeated across files."""
-    bindings = []
-    for _ in range(rng.randrange(1, 5)):
-        seen = set()
-        for class_name in rng.sample(LOOKUP_CLASSES, rng.randrange(1, 3)):
-            for method in (None, *rng.sample(LOOKUP_METHODS, rng.randrange(0, 3))):
-                for name in rng.sample(LOOKUP_NAMES[:3], rng.randrange(0, 3)):
-                    scope = Scope(class_name, method)
-                    if (scope, name) not in seen:
-                        seen.add((scope, name))
-                        bindings.append(VariableBinding(name, rng.choice(LOOKUP_TYPES), scope))
-    return bindings
+def _random_unit(rng):
+    """Source of one unit with fields, overloads and repeated names, and the
+    bindings it declares in source order, duplicates included."""
+    declared = []
+    classes = []
+    position = -1  # of each member in the unit
+    for class_name in rng.sample(LOOKUP_CLASSES, rng.randrange(1, 3)):
+        members = []
+        for _ in range(rng.randrange(1, 7)):
+            position += 1
+            if rng.random() < 0.4:
+                spelled, name = rng.choice(list(LOOKUP_TYPES)), rng.choice(LOOKUP_NAMES[:3])
+                members.append(f"{spelled} {name};")
+                declared.append(VariableBinding(name, LOOKUP_TYPES[spelled], Scope(class_name)))
+                continue
+            method = rng.choice(LOOKUP_METHODS)
+            scope = Scope(class_name, method, position)
+            pairs = [
+                (rng.choice(list(LOOKUP_TYPES)), rng.choice(LOOKUP_NAMES[:3]))
+                for _ in range(rng.randrange(0, 4))
+            ]
+            split = rng.randrange(len(pairs) + 1)
+            parameters = ", ".join(f"{t} {n}" for t, n in pairs[:split])
+            locals_ = " ".join(f"{t} {n};" for t, n in pairs[split:])
+            members.append(f"void {method}({parameters}) {{ {locals_} }}")
+            declared += [VariableBinding(n, LOOKUP_TYPES[t], scope) for t, n in pairs]
+        classes.append(f"class {class_name} {{ {' '.join(members)} }}")
+    return "\n".join(classes), declared
 
 
 def test_index_lookups_equal_the_list_scan_oracle():
     # How often each case the index must get right occurred, to show that
-    # the random projects cover them all.
+    # the random units cover them all.
     seen = dict.fromkeys(
-        ("repeated key", "shadowed field", "two methods", "field only", "miss", "repeated class"), 0
+        ("repeated key", "shadowed field", "overload", "field only", "miss", "repeated class"), 0
     )
     rng = random.Random(4041)
     for _ in range(300):
-        bindings = _random_project_bindings(rng)
-        keys = {(b.scope.class_name, b.scope.method_name, b.variable_name) for b in bindings}
-        seen["repeated key"] += len(bindings) - len(keys)
-        for class_name, method, name in keys:
-            if method is not None:
-                seen["shadowed field"] += (class_name, None, name) in keys
-                seen["two methods"] += any(
-                    (class_name, other, name) in keys for other in LOOKUP_METHODS if other != method
-                )
-        index = index_bindings(bindings)
+        source, declared = _random_unit(rng)
+        index, diagnostics = get_all_variables_types(parse_source(source, file_name="U.java"))
+        keys = {(b.scope, b.variable_name) for b in declared}
+        assert len(index) == len(keys)
+        assert len(diagnostics) == len(declared) - len(keys)
+        seen["repeated key"] += len(diagnostics)
+        method_scopes = {b.scope for b in declared if b.scope.position is not None}
+        for scope in method_scopes:
+            seen["shadowed field"] += any(
+                (Scope(scope.class_name), name) in keys for s, name in keys if s == scope
+            )
+            seen["overload"] += any(
+                other.method_name == scope.method_name and other != scope
+                for other in method_scopes
+                if other.class_name == scope.class_name
+            )
         for class_name in LOOKUP_CLASSES + ("Z",):
-            for method in (None,) + LOOKUP_METHODS:
+            # A method declaration that binds nothing sees the fields only.
+            queried = [Scope(class_name), Scope(class_name, "m", 99)]
+            queried += [scope for scope in method_scopes if scope.class_name == class_name]
+            for scope in queried:
                 for name in LOOKUP_NAMES:
-                    scope = Scope(class_name, method)
-                    expected = oracle_lookup_binding(name, bindings, scope)
-                    assert analysis._lookup_binding(name, index, scope) is expected
+                    expected = oracle_lookup_binding(name, declared, scope)
+                    assert analysis._lookup_binding(name, index, scope) == expected
                     if expected is None:
                         seen["miss"] += 1
-                    elif method is not None and expected.scope.method_name is None:
+                    elif scope.position is not None and expected.scope.position is None:
                         seen["field only"] += 1
 
         classes = [
-            ClassInfo(rng.choice(LOOKUP_CLASSES), source_file_name=f"{i}.class")
+            ClassInfo(rng.choice(LOOKUP_CLASSES + ("p.A",)), source_file_name=f"{i}.class")
             for i in range(rng.randrange(0, 6))
         ]
         class_index = index_classes(classes)
         seen["repeated class"] += len(classes) - len(class_index)
-        for name in LOOKUP_CLASSES + ("Z",):
+        for name in LOOKUP_CLASSES + ("p.A", "Z"):
             assert class_index.get(name) is oracle_find_class(classes, name)
     assert all(seen.values()), seen
 
@@ -558,10 +671,8 @@ class C {
         ClassInfo("B", methods=(MethodSignature("f", (INT, INT), INT), MethodSignature("h", (), INT))),
         ClassInfo("A"),
     ]
-    expected = get_all_method_calls(tree, index_bindings(bindings), index_classes(classes))
-    guarded = get_all_method_calls(
-        tree, _KeyedOnly(index_bindings(bindings)), _KeyedOnly(index_classes(classes))
-    )
+    expected = get_all_method_calls(tree, bindings, index_classes(classes))
+    guarded = get_all_method_calls(tree, _KeyedOnly(bindings), _KeyedOnly(index_classes(classes)))
     assert guarded == expected
     assert [(str(c), c.argument_types) for c in guarded[2:5]] == [
         ("B.f", (INT, INT)),
@@ -612,8 +723,8 @@ def test_declarations_without_a_type_reference_are_skipped():
     )
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    assert [b.variable_name for b in bindings] == ["x", "b", "v"]
-    calls = get_all_method_calls(tree, index_bindings(bindings), {})
+    assert [b.variable_name for b in bindings.values()] == ["x", "b", "v"]
+    calls = get_all_method_calls(tree, bindings, {})
     assert [(c.invoked_name, c.receiver_class, c.expected_return) for c in calls] == [
         ("f", TypeName("B"), UNCONSTRAINED),
         ("<init>", UNRESOLVED, UNCONSTRAINED),

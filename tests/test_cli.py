@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import os
+import random
 from pathlib import Path
 
 import pytest
@@ -196,9 +198,9 @@ def test_too_deep_files_become_diagnostics(testbed):
 
 def test_trees_at_the_nesting_bound_pass_the_pipeline(testbed):
     levels = (aslt.MAX_DEPTH - 4) // 2  # the deepest ArgumentList sits at MAX_DEPTH
-    source = "class Deep { void m() { " + "f(" * levels + ")" * levels + "; } }"
-    (testbed / "Deep.java").write_text(source, encoding="utf-8")
-    tree = aslt.parse_source(source, file_name="DeepTree.java")
+    body = " { void m() { " + "f(" * levels + ")" * levels + "; } }"
+    (testbed / "Deep.java").write_text("class Deep" + body, encoding="utf-8")
+    tree = aslt.parse_source("class DeepTree" + body, file_name="DeepTree.java")
     (testbed / "DeepTree.aslt").write_text(aslt.write_aslt(tree), encoding="utf-8")
     run = run_analysis(_config_for(testbed, debug_level=2))
     assert run.diagnostics == []
@@ -323,7 +325,7 @@ def test_field_without_leading_type_reference_is_analysed(testbed):
     assert [r.called_method for r in run.reports] == ["f"]  # B is not a scanned class
 
 
-def test_same_class_in_two_files_resolves_fields_from_the_first(tmp_path):
+def test_same_class_in_two_files_resolves_fields_in_its_own_file(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     (tmp_path / "a" / "A.java").write_text(
@@ -332,8 +334,6 @@ def test_same_class_in_two_files_resolves_fields_from_the_first(tmp_path):
     (tmp_path / "b" / "A.java").write_text(
         "class A { String x; void n() { B b = new B(); b.f(x); } }", encoding="utf-8"
     )
-    from compatcheck.classfile import ClassInfo
-
     b = ClassInfo(
         "B",
         methods=(MethodSignature("<init>", (), VOID), MethodSignature("f", (TypeName("int"),), VOID)),
@@ -341,9 +341,108 @@ def test_same_class_in_two_files_resolves_fields_from_the_first(tmp_path):
     (tmp_path / "B.class").write_bytes(emit_classfile(b))
     run = run_analysis(ProjectConfig(path_to_application=tmp_path))
     calls = [(c.location.file, c.argument_types) for c in run.call_sites if c.invoked_name == "f"]
-    assert calls == [("a/A.java", (TypeName("int"),)), ("b/A.java", (TypeName("int"),))]
-    assert run.reports == []
-    assert run.exit_code == 0
+    assert calls == [
+        ("a/A.java", (TypeName("int"),)),
+        ("b/A.java", (TypeName("java.lang.String"),)),
+    ]
+    assert [(r.kind, str(r.location)) for r in run.reports] == [
+        (MismatchKind.PARAM_TYPE_MISMATCH, "b/A.java:1:47")
+    ]
+    assert [(d.file, d.message, d.fatal) for d in run.diagnostics] == [
+        ("b/A.java", "duplicate class 'A', first declared in a/A.java", False)
+    ]
+    assert run.exit_code == 1
+
+
+OVERLOADS_SOURCE = """class A {
+    void m(int a) {
+        B b = new B();
+        b.takeInt(a);
+    }
+    void m(String a) {
+        B b = new B();
+        b.takeStr(a);
+    }
+}
+"""
+
+
+def test_overloaded_caller_methods_compose_cleanly(tmp_path, capsys):
+    (tmp_path / "A.java").write_text(OVERLOADS_SOURCE, encoding="utf-8")
+    b = ClassInfo(
+        "B",
+        methods=(
+            MethodSignature("<init>", (), VOID),
+            MethodSignature("takeInt", (TypeName("int"),), VOID),
+            MethodSignature("takeStr", (TypeName("java.lang.String"),), VOID),
+        ),
+    )
+    (tmp_path / "B.class").write_bytes(emit_classfile(b))
+    (tmp_path / "c.properties").write_text("PathToApplication=.\n", encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "c.properties")]) == 0
+    assert capsys.readouterr() == ("0 errors\n", "")
+
+
+def _duplicate_class_project(root):
+    """Four units: ``A`` twice in the default package, ``q.A``, and ``p.A``
+    beside ``p.C``; each ``A.m`` calls ``B.f(int)`` with its own field ``x``."""
+    sources = {
+        "one/A.java": "class A { int x; void m() { B b = new B(); b.f(x); } }",
+        "two/A.java": "class A { String x; void m() { B b = new B(); b.f(x); } }",
+        "q/A.java": "package q; class A { int x; void m() { B b = new B(); b.f(x); } }",
+        "p/P.java": "package p; class A { int x; } class C { }",
+    }
+    for name, text in sources.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+    b = ClassInfo(
+        "B",
+        methods=(MethodSignature("<init>", (), VOID), MethodSignature("f", (TypeName("int"),), VOID)),
+    )
+    (root / "B.class").write_bytes(emit_classfile(b))
+    config = root / "c.properties"
+    config.write_text("PathToApplication=.\n", encoding="utf-8")
+    return config
+
+
+def test_duplicate_class_warns_on_the_later_file_only(tmp_path, capsys):
+    config = _duplicate_class_project(tmp_path)
+    assert main(["run", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    # Only the default-package A is declared twice; p.A and q.A are distinct.
+    assert err == "warning: two/A.java: duplicate class 'A', first declared in one/A.java\n"
+    assert out.startswith("error[ParamTypeMismatch] at two/A.java:1:47\n")
+    assert out.endswith("\n1 error\n")
+    assert "duplicate" not in out
+
+
+def test_duplicate_class_in_one_file_names_that_file(tmp_path):
+    (tmp_path / "A.java").write_text("package p; class A { } class A { }", encoding="utf-8")
+    run = run_analysis(ProjectConfig(path_to_application=tmp_path))
+    assert [(d.file, d.message) for d in run.diagnostics] == [
+        ("A.java", "duplicate class 'p.A', first declared in A.java")
+    ]
+
+
+def test_duplicate_class_output_ignores_discovery_order(tmp_path, monkeypatch, capsys):
+    config = str(_duplicate_class_project(tmp_path))
+    real_walk = os.walk
+
+    def capture(fmt, seed):
+        shuffler = random.Random(seed)
+
+        def shuffled_walk(top, **kwargs):
+            for dirpath, dirnames, filenames in real_walk(top, **kwargs):
+                shuffler.shuffle(dirnames)
+                shuffler.shuffle(filenames)
+                yield dirpath, dirnames, filenames
+
+        monkeypatch.setattr(os, "walk", shuffled_walk)
+        assert main(["run", "--config", config, "--format", fmt]) == 1
+        return capsys.readouterr()
+
+    for fmt in ("text", "json"):
+        assert capture(fmt, 1) == capture(fmt, 2) == capture(fmt, 3)
 
 
 def test_widening_flag_reaches_comparison(tmp_path):
@@ -662,7 +761,9 @@ def test_main_run_takes_a_debug_level_of_any_length(testbed, capsys, raw, code):
     config.write_text(text.replace("DebugLevel=1\n", f"DebugLevel={raw}\n"), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == code
     err = capsys.readouterr().err
-    assert err == ("" if code == 0 else f"error: DebugLevel must be one of 0, 1, 2; got {raw!r}\n")
+    # The error echoes a bounded prefix of the value and its length.
+    echoed = "'10000000000000000000'... (5001 characters)"
+    assert err == ("" if code == 0 else f"error: DebugLevel must be one of 0, 1, 2; got {echoed}\n")
 
 
 def _set_aslt_extension(root, extension):

@@ -116,6 +116,23 @@ def test_load_rejects_out_of_range_debug_levels_of_any_length(raw):
         load_config({"PathToApplication": "/p", "DebugLevel": raw})
 
 
+@pytest.mark.parametrize(
+    "raw, echoed",
+    [
+        ("7", "'7'"),
+        ("3" * 20, repr("3" * 20)),
+        ("3" * 21, f"{'3' * 20!r}... (21 characters)"),
+        ("9" * 5000, f"{'9' * 20!r}... (5000 characters)"),
+    ],
+    ids=["one-digit", "at-the-bound", "over-the-bound", "5000-nines"],
+)
+def test_invalid_debug_level_message_echoes_a_bounded_prefix(raw, echoed):
+    with pytest.raises(InvalidDebugLevelError) as caught:
+        load_config({"PathToApplication": "/p", "DebugLevel": raw})
+    assert str(caught.value) == f"DebugLevel must be one of 0, 1, 2; got {echoed}"
+    assert caught.value.value == raw
+
+
 def test_load_defaults():
     cfg = load_config({"PathToApplication": "/p"})
     assert cfg.aslt_file_extension == ".aslt"

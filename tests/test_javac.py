@@ -1,0 +1,205 @@
+"""Differential tests against the Java compiler as ground truth.
+
+Each composition is a caller source and the components it calls.  The
+components are compiled by ``javac`` into real class files, then every
+caller is compiled in one further ``javac -XDrawDiagnostics`` run against
+them.  The lines where ``javac`` reports an error must be exactly the lines
+where compatcheck reports a mismatch under ``--widening``.
+
+Compositions on which the two are known to disagree are strict xfails, so
+that the mark has to go once compatcheck is fixed.  The module is skipped
+when no ``javac`` is on the path.
+"""
+
+import re
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+from compatcheck.classfile import (
+    VOID,
+    ClassInfo,
+    FieldMember,
+    MethodSignature,
+    TypeName,
+    scan_classfiles,
+)
+from compatcheck.cli import run_analysis
+from compatcheck.config import ProjectConfig
+
+pytestmark = pytest.mark.skipif(shutil.which("javac") is None, reason="javac is not on the path")
+
+INT = TypeName("int")
+STRING = TypeName("java.lang.String")
+OBJECT = TypeName("java.lang.Object")
+
+# Component sources, by path below the class-path root.
+COMPONENTS = {
+    "ObjB.java": "class ObjB { void obj(Object o) { } }",
+    "NameB.java": 'class NameB { String name() { return ""; } }',
+    "GetB.java": "class GetB { int get() { return 0; } }",
+    "P.java": "class P { int get() { return 0; } }",
+    "C.java": "class C extends P { }",
+    "p/Q.java": "package p; public class Q { public int get() { return 0; } }",
+    "TakeB.java": "class TakeB { int count; void takeInt(int a) { } void takeStr(String a) { } }",
+    "StaticB.java": "class StaticB { int get() { return 0; } }",
+}
+
+
+def _surface(name, *methods, superclass="java.lang.Object", fields=()):
+    """A component's expected surface: its methods after javac's implicit constructor."""
+    return ClassInfo(name, superclass, (), fields, (MethodSignature("<init>"), *methods))
+
+
+# The surface each component's class file must expose, by qualified name.
+SURFACE = {
+    info.qualified_name: info
+    for info in (
+        _surface("ObjB", MethodSignature("obj", (OBJECT,), VOID)),
+        _surface("NameB", MethodSignature("name", (), STRING)),
+        _surface("GetB", MethodSignature("get", (), INT)),
+        _surface("P", MethodSignature("get", (), INT)),
+        _surface("C", superclass="P"),
+        _surface("p.Q", MethodSignature("get", (), INT)),
+        _surface(
+            "TakeB",
+            MethodSignature("takeInt", (INT,), VOID),
+            MethodSignature("takeStr", (STRING,), VOID),
+            fields=(FieldMember("count", INT),),
+        ),
+        _surface("StaticB", MethodSignature("get", (), INT)),
+    )
+}
+
+# Name -> (the components the caller uses, its sources by path).
+COMPOSITIONS = {
+    "object-parameter": (
+        ["ObjB"],
+        {"Obj.java": 'class Obj { void m() { ObjB b = new ObjB(); b.obj("s"); } }'},
+    ),
+    "object-return": (
+        ["NameB"],
+        {"Name.java": "class Name { void m() { NameB b = new NameB(); Object o = b.name(); } }"},
+    ),
+    "long-return": (
+        ["GetB"],
+        {"Widen.java": "class Widen { void m() { GetB b = new GetB(); long r = b.get(); } }"},
+    ),
+    "inherited-method": (
+        ["P", "C"],
+        {"Inherit.java": "class Inherit { void m() { C c = new C(); int r = c.get(); } }"},
+    ),
+    "same-package": (
+        ["p/Q"],
+        {"p/A.java": "package p; class A { void m() { Q q = new Q(); int r = q.get(); } }"},
+    ),
+    "overloads": (
+        ["TakeB"],
+        {
+            "Overload.java": """class Overload {
+    void m(int a) {
+        TakeB b = new TakeB();
+        b.takeInt(a);
+    }
+    void m(String a) {
+        TakeB b = new TakeB();
+        b.takeStr(a);
+    }
+}
+"""
+        },
+    ),
+    "static-context": (
+        ["StaticB"],
+        {"Static.java": "class Static { void m() { int r = StaticB.get(); } }"},
+    ),
+    "qualified-name": (
+        ["p/Q"],
+        {"Qualified.java": "class Qualified { void m() { p.Q q = new p.Q(); int r = q.get(); } }"},
+    ),
+}
+
+# Compositions where compatcheck disagrees with javac today.
+KNOWN_DISAGREEMENTS = {
+    "object-parameter": "reference widening of an argument to Object",
+    "object-return": "reference widening of a return value to Object",
+    "long-return": "primitive widening of a return value",
+    "inherited-method": "methods inherited from a superclass",
+    "same-package": "simple names of classes in the caller's own package",
+    "static-context": "instance methods called through the class name",
+}
+
+# One error as -XDrawDiagnostics prints it: "File.java:line:column: compiler.err.key: ...".
+_DIAGNOSTIC = re.compile(r"^(?P<file>[^:\n]+\.java):(?P<line>\d+):\d+: compiler\.err\.", re.M)
+
+
+def _javac(*arguments: str, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["javac", *arguments], cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """Compile every component in one javac run and every caller in a
+    second; return the root and javac's error lines per composition."""
+    root = tmp_path_factory.mktemp("javac")
+    for path, text in COMPONENTS.items():
+        (root / "components" / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / "components" / path).write_text(text, encoding="utf-8")
+    result = _javac("-d", "classes", *(f"components/{path}" for path in COMPONENTS), cwd=root)
+    if result.returncode != 0:
+        pytest.fail(f"javac rejected the components:\n{result.stderr}")
+    shutil.rmtree(root / "components")
+
+    # -XDrawDiagnostics names a file by its base name, which is unique here.
+    callers = {}
+    for name, (components, sources) in COMPOSITIONS.items():
+        project = root / "projects" / name
+        for component in components:
+            target = project / f"{component}.class"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(root / "classes" / f"{component}.class", target)
+        for path, text in sources.items():
+            (project / path).parent.mkdir(parents=True, exist_ok=True)
+            (project / path).write_text(text, encoding="utf-8")
+            callers[Path(path).name] = (name, path)
+    result = _javac(
+        "-XDrawDiagnostics", "-Xmaxerrs", "100000", "-cp", "classes", "-d", "callers",
+        *(f"projects/{name}/{path}" for name, path in callers.values()),
+        cwd=root,
+    )
+    errors = {name: set() for name in COMPOSITIONS}
+    for match in _DIAGNOSTIC.finditer(result.stdout + result.stderr):
+        name, path = callers[match["file"]]
+        errors[name].add((path, int(match["line"])))
+    if (result.returncode != 0) != any(errors.values()):
+        pytest.fail(f"javac failed without a located error:\n{result.stderr}")
+    return root, errors
+
+
+def _known_disagreement(name):
+    """A strict xfail for a known disagreement: only a wrong answer may fail."""
+    if name not in KNOWN_DISAGREEMENTS:
+        return ()
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=KNOWN_DISAGREEMENTS[name])
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(name, marks=_known_disagreement(name)) for name in COMPOSITIONS]
+)
+def test_reports_fall_on_the_lines_javac_rejects(compiled, name):
+    root, errors = compiled
+    run = run_analysis(ProjectConfig(path_to_application=root / "projects" / name), widening=True)
+    assert run.diagnostics == []
+    assert {(r.location.file, r.location.line) for r in run.reports} == errors[name]
+
+
+def test_class_files_written_by_javac_expose_the_declared_surface(compiled):
+    root, _ = compiled
+    infos, diagnostics = scan_classfiles(root / "classes", ".class")
+    assert diagnostics == []
+    assert {info.qualified_name: info for info in infos} == SURFACE
+    assert {info.qualified_name: info.source_file_name for info in infos}["p.Q"] == "p/Q.class"
