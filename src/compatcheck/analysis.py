@@ -72,12 +72,15 @@ UNCONSTRAINED = Unconstrained()
 
 @dataclass(frozen=True, slots=True)
 class Scope:
-    """Where a name is visible: a class, or one method declaration in it, told
-    apart from its overloads by its ``position`` among the unit's members."""
+    """Where a name is visible: a class declaration, told apart from a
+    same-named one by its ``class_position`` among the unit's classes, or one
+    method declaration in it, told apart from its overloads by its
+    ``position`` among the unit's members."""
 
     class_name: str
     method_name: str | None = None
     position: int | None = None
+    class_position: int = 0
 
     def __str__(self) -> str:
         if self.method_name:
@@ -102,8 +105,9 @@ class VariableBinding:
     scope: Scope
 
 
-# One unit's (class, method's position or None for fields, variable name) -> binding.
-BindingIndex = dict[tuple[str, int | None, str], VariableBinding]
+# One unit's (class's position, method's position or None for fields, variable
+# name) -> binding.
+BindingIndex = dict[tuple[int, int | None, str], VariableBinding]
 # Qualified name -> class.
 ClassIndex = dict[str, ClassInfo]
 # An expression whose calls are still to be extracted, with its scope and
@@ -185,12 +189,17 @@ def get_class_infos(config: ProjectConfig) -> tuple[list[ClassInfo], list[Diagno
 def _members(tree: AsltNode) -> Iterator[tuple[Scope, AsltNode]]:
     """Each field and method declaration in source order, with its names' scope."""
     classes = (node for node in tree.children if node.kind == aslt.CLASS_DECLARATION)
-    members = ((c.attributes.get("name", ""), member) for c in classes for member in c.children)
-    for position, (class_name, member) in enumerate(members):
-        if member.kind == aslt.METHOD_DECLARATION:
-            yield Scope(class_name, member.attributes.get("name", ""), position), member
-        elif member.kind == aslt.FIELD_DECLARATION:
-            yield Scope(class_name), member
+    position = 0
+    for class_position, declaration in enumerate(classes):
+        class_name = declaration.attributes.get("name", "")
+        fields = Scope(class_name, class_position=class_position)
+        for member in declaration.children:
+            if member.kind == aslt.METHOD_DECLARATION:
+                name = member.attributes.get("name", "")
+                yield Scope(class_name, name, position, class_position), member
+            elif member.kind == aslt.FIELD_DECLARATION:
+                yield fields, member
+            position += 1
 
 
 def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnostic]]:
@@ -210,7 +219,7 @@ def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnost
             return
         for namer in namers:
             name = namer.attributes.get("name", "")
-            key = (scope.class_name, scope.position, name)
+            key = (scope.class_position, scope.position, name)
             if key in bindings:
                 diagnostics.append(
                     Diagnostic(file_name, f"duplicate variable {name!r} in scope {scope}")
@@ -242,9 +251,9 @@ def index_classes(classes: Iterable[ClassInfo]) -> ClassIndex:
 
 def _lookup_binding(name: str, bindings: BindingIndex, scope: Scope) -> VariableBinding | None:
     """Innermost match: the method declaration first, then the class's fields."""
-    binding = bindings.get((scope.class_name, scope.position, name))
+    binding = bindings.get((scope.class_position, scope.position, name))
     if binding is None and scope.position is not None:
-        binding = bindings.get((scope.class_name, None, name))
+        binding = bindings.get((scope.class_position, None, name))
     return binding
 
 

@@ -207,7 +207,7 @@ def iter_nodes(tree: AsltNode) -> Iterator[AsltNode]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(node.children))
+        stack += node.children[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -935,63 +935,92 @@ def _parse_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
     return kind, attributes
 
 
+# What a line not yet read maps to in read_aslt's memo.
+_UNSEEN = object()
+
+
 def read_aslt(text: str, file_name: str = "") -> AsltNode:
     """Parse ``.aslt`` text back into a tree (inverse of :func:`write_aslt`).
 
-    Node spans are anchored to the ``.aslt`` line each node came from.
-    Every line is checked before the tree is built, so a bad line is
-    reported ahead of a bad indentation structure further up.
+    Node spans are anchored to the ``.aslt`` line each node came from.  The
+    lines are read in one pass, and each node is closed as soon as a line
+    at its depth or shallower follows.  A bad line, one that
+    :func:`_parse_aslt_line` refuses or whose indentation is odd or too
+    deep, is raised at once.  A fault in the structure (an indented root,
+    a second root, or an indentation that jumps more than one level) is
+    held while the remaining lines are still checked, so a bad line further
+    down is reported ahead of it; only the first such fault is kept.
 
-    Each distinct line body (the text after the indentation) is parsed once
-    per call by :func:`_parse_aslt_line`, and a line that repeats it reuses
-    the kind and a copy of the attributes, so every node still owns its
-    dict.  A line that fails is never stored, so each error keeps its own
-    line number and message.
+    Each distinct raw line, indentation included, is read once per call: a
+    line that repeats it reuses its depth, its kind and a copy of its
+    attributes, so every node still owns its dict.  A line that fails is
+    never stored, so each error keeps its own line number and message.
     """
-    parsed: dict[str, tuple[str, dict[str, str]]] = {}
-    entries: list[tuple[int, str, dict[str, str], Span]] = []
-    for line_number, raw in enumerate(text.split("\n"), start=1):
-        rest = raw.lstrip(" ")
-        if not rest or rest.isspace():
-            continue
-        indent = len(raw) - len(rest)
-        if indent % 2:
-            raise AsltFormatError(line_number, "indentation must be a multiple of two spaces")
-        if indent // 2 > MAX_DEPTH:
-            raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
-        seen = parsed.get(rest)
-        if seen is None:
-            kind, attributes = parsed[rest] = _parse_aslt_line(rest, line_number)
-        else:
-            kind, attributes = seen[0], seen[1].copy()
-        span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
-        entries.append((indent // 2, kind, attributes, span))
-    if not entries:
-        raise AsltFormatError(1, "no nodes")
-    if entries[0][0] != 0:
-        raise AsltFormatError(entries[0][3].start_line, "the root node must not be indented")
-
+    seen: dict[str, tuple[int, str, dict[str, str]] | None] = {}
     # The nodes still open, outermost first (the one at index i is at depth
-    # i), each with the children read so far.
-    open_nodes: list[tuple[str, dict[str, str], Span, list[AsltNode]]] = []
-    for depth, kind, attributes, span in entries:
-        if open_nodes and depth == 0:
-            raise AsltFormatError(span.start_line, "more than one root node")
-        if depth > len(open_nodes):
-            raise AsltFormatError(span.start_line, "indentation jumps more than one level")
-        while len(open_nodes) > depth:
-            _close_node(open_nodes)
-        open_nodes.append((kind, attributes, span, []))
-    while len(open_nodes) > 1:
-        _close_node(open_nodes)
-    kind, attributes, span, children = open_nodes[0]
-    return AsltNode(kind, attributes, tuple(children), span)
-
-
-def _close_node(open_nodes: list[tuple[str, dict[str, str], Span, list[AsltNode]]]) -> None:
-    """Pop the innermost open node and add it to its parent's children."""
-    kind, attributes, span, children = open_nodes.pop()
-    open_nodes[-1][3].append(AsltNode(kind, attributes, tuple(children), span))
+    # i), and beside each the children read so far.
+    nodes: list[AsltNode] = []
+    children: list[list[AsltNode]] = []
+    # The first fault in the structure, as a line number and a message: an
+    # exception held in a local would make a reference cycle through its
+    # traceback once raised.
+    fault: tuple[int, str] | None = None
+    new = object.__new__
+    for line_number, raw in enumerate(text.split("\n"), start=1):
+        known = seen.get(raw, _UNSEEN)
+        if known is _UNSEEN:
+            rest = raw.lstrip(" ")
+            if not rest or rest.isspace():
+                seen[raw] = None
+                continue
+            indent = len(raw) - len(rest)
+            if indent % 2:
+                raise AsltFormatError(line_number, "indentation must be a multiple of two spaces")
+            depth = indent // 2
+            if depth > MAX_DEPTH:
+                raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
+            kind, attributes = _parse_aslt_line(rest, line_number)
+            seen[raw] = depth, kind, attributes
+        elif known is None:
+            continue  # a blank line
+        else:
+            depth, kind, attributes = known
+            attributes = attributes.copy()
+        if fault is not None:
+            continue
+        if depth > len(nodes) or (depth == 0 and nodes):
+            if not nodes:
+                message = "the root node must not be indented"
+            elif depth:
+                message = "indentation jumps more than one level"
+            else:
+                message = "more than one root node"
+            fault = line_number, message
+            continue
+        while len(nodes) > depth:
+            _set_node_children(nodes.pop(), tuple(children.pop()))
+        span = new(Span)
+        _set_span_file(span, file_name)
+        _set_span_start_line(span, line_number)
+        _set_span_start_column(span, 1)
+        _set_span_end_line(span, line_number)
+        _set_span_end_column(span, len(raw) + 1)
+        node = new(AsltNode)
+        _set_node_kind(node, kind)
+        _set_node_attributes(node, attributes)
+        _set_node_span(node, span)
+        if depth:
+            children[-1].append(node)
+        nodes.append(node)
+        children.append([])
+    if fault is not None:
+        raise AsltFormatError(*fault)
+    if not nodes:
+        raise AsltFormatError(1, "no nodes")
+    while nodes:
+        root = nodes.pop()
+        _set_node_children(root, tuple(children.pop()))
+    return root
 
 
 def check_names(tree: AsltNode) -> None:

@@ -17,6 +17,7 @@ from compatcheck.analysis import (
     Unresolved,
     VariableBinding,
 )
+from compatcheck.aslt import MAX_DEPTH, AsltFormatError, AsltNode, Span, _parse_aslt_line
 from compatcheck.classfile import ClassInfo, TypeName
 
 # Every legal primitive widening, written out pairwise.
@@ -170,14 +171,15 @@ def oracle_lookup_binding(
     name: str, bindings: list[VariableBinding], scope: Scope
 ) -> VariableBinding | None:
     """Innermost binding by list scan over one unit's bindings: the method
-    declaration first, then the class's fields; within a scope the first
-    binding in source order wins."""
+    declaration first, then the fields of its class declaration; within a
+    scope the first binding in source order wins."""
     if scope.position is not None:
         for binding in bindings:
             if binding.variable_name == name and binding.scope == scope:
                 return binding
+    fields = Scope(scope.class_name, class_position=scope.class_position)
     for binding in bindings:
-        if binding.variable_name == name and binding.scope == Scope(scope.class_name):
+        if binding.variable_name == name and binding.scope == fields:
             return binding
     return None
 
@@ -188,3 +190,56 @@ def oracle_find_class(classes: list[ClassInfo], name: str) -> ClassInfo | None:
         if info.qualified_name == name:
             return info
     return None
+
+
+def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
+    """``.aslt`` text to a tree in two passes: every line is checked and
+    parsed into a list first, and the tree is built from that list, so a bad
+    line anywhere is reported ahead of a fault in the indentation structure.
+
+    It shares ``_parse_aslt_line`` with the package, whose own fuzz test
+    checks it; what this reference pins is the order of the checks, the
+    structure and the spans."""
+    parsed: dict[str, tuple[str, dict[str, str]]] = {}
+    entries: list[tuple[int, str, dict[str, str], Span]] = []
+    for line_number, raw in enumerate(text.split("\n"), start=1):
+        rest = raw.lstrip(" ")
+        if not rest or rest.isspace():
+            continue
+        indent = len(raw) - len(rest)
+        if indent % 2:
+            raise AsltFormatError(line_number, "indentation must be a multiple of two spaces")
+        if indent // 2 > MAX_DEPTH:
+            raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
+        seen = parsed.get(rest)
+        if seen is None:
+            kind, attributes = parsed[rest] = _parse_aslt_line(rest, line_number)
+        else:
+            kind, attributes = seen[0], seen[1].copy()
+        span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
+        entries.append((indent // 2, kind, attributes, span))
+    if not entries:
+        raise AsltFormatError(1, "no nodes")
+    if entries[0][0] != 0:
+        raise AsltFormatError(entries[0][3].start_line, "the root node must not be indented")
+
+    # The nodes still open, outermost first (the one at index i is at depth
+    # i), each with the children read so far.
+    open_nodes: list[tuple[str, dict[str, str], Span, list[AsltNode]]] = []
+
+    def close_node() -> None:
+        kind, attributes, span, children = open_nodes.pop()
+        open_nodes[-1][3].append(AsltNode(kind, attributes, tuple(children), span))
+
+    for depth, kind, attributes, span in entries:
+        if open_nodes and depth == 0:
+            raise AsltFormatError(span.start_line, "more than one root node")
+        if depth > len(open_nodes):
+            raise AsltFormatError(span.start_line, "indentation jumps more than one level")
+        while len(open_nodes) > depth:
+            close_node()
+        open_nodes.append((kind, attributes, span, []))
+    while len(open_nodes) > 1:
+        close_node()
+    kind, attributes, span, children = open_nodes[0]
+    return AsltNode(kind, attributes, tuple(children), span)

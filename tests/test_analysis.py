@@ -72,7 +72,7 @@ def _calls_for(source, classes, file_name="SampleClassA.java"):
 
 def _keyed(*bindings):
     """Bindings built by hand, keyed as get_all_variables_types keys them."""
-    return {(b.scope.class_name, b.scope.position, b.variable_name): b for b in bindings}
+    return {(b.scope.class_position, b.scope.position, b.variable_name): b for b in bindings}
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +97,9 @@ def test_field_parameter_and_local_bindings_in_source_order():
     )
     bindings, _ = get_all_variables_types(tree)
     assert list(bindings.items()) == [
-        (("A", None, "n"), VariableBinding("n", INT, Scope("A"))),
-        (("A", 1, "p"), VariableBinding("p", TypeName("long"), Scope("A", "m", 1))),
-        (("A", 1, "c"), VariableBinding("c", TypeName("char"), Scope("A", "m", 1))),
+        ((0, None, "n"), VariableBinding("n", INT, Scope("A"))),
+        ((0, 1, "p"), VariableBinding("p", TypeName("long"), Scope("A", "m", 1))),
+        ((0, 1, "c"), VariableBinding("c", TypeName("char"), Scope("A", "m", 1))),
     ]
 
 
@@ -125,7 +125,20 @@ def test_same_named_classes_in_one_unit_keep_their_methods_apart():
     tree = parse_source("class A { void m() { int x; } } class A { void n() { long x; } }")
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    assert [b.scope for b in bindings.values()] == [Scope("A", "m", 0), Scope("A", "n", 1)]
+    assert [b.scope for b in bindings.values()] == [Scope("A", "m", 0), Scope("A", "n", 1, 1)]
+
+
+def test_same_named_classes_in_one_unit_keep_their_fields_apart():
+    source = "class A { int x; void m() { f(x); } } class A { long x; void m() { f(x); } }"
+    tree = parse_source(source, file_name="A.java")
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert diagnostics == []
+    assert list(bindings.items()) == [
+        ((0, None, "x"), VariableBinding("x", INT, Scope("A"))),
+        ((1, None, "x"), VariableBinding("x", TypeName("long"), Scope("A", class_position=1))),
+    ]
+    calls = get_all_method_calls(tree, bindings, {})
+    assert [c.argument_types for c in calls] == [(INT,), (TypeName("long"),)]
 
 
 TAKER = ClassInfo(
@@ -201,9 +214,9 @@ def test_duplicate_in_one_overload_is_reported_once():
     assert [(d.file, d.message) for d in diagnostics] == [
         ("A.java", "duplicate variable 'x' in scope A.m")
     ]
-    assert bindings[("A", 0, "x")].declared_type == INT
-    assert bindings[("A", 1, "x")].declared_type == INT
-    assert bindings[("A", 1, "a")].declared_type == STRING
+    assert bindings[(0, 0, "x")].declared_type == INT
+    assert bindings[(0, 1, "x")].declared_type == INT
+    assert bindings[(0, 1, "a")].declared_type == STRING
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +581,19 @@ def _random_unit(rng):
     declared = []
     classes = []
     position = -1  # of each member in the unit
-    for class_name in rng.sample(LOOKUP_CLASSES, rng.randrange(1, 3)):
+    names = rng.choices(LOOKUP_CLASSES, k=rng.randrange(1, 4))
+    for class_position, class_name in enumerate(names):
+        fields = Scope(class_name, class_position=class_position)
         members = []
         for _ in range(rng.randrange(1, 7)):
             position += 1
             if rng.random() < 0.4:
                 spelled, name = rng.choice(list(LOOKUP_TYPES)), rng.choice(LOOKUP_NAMES[:3])
                 members.append(f"{spelled} {name};")
-                declared.append(VariableBinding(name, LOOKUP_TYPES[spelled], Scope(class_name)))
+                declared.append(VariableBinding(name, LOOKUP_TYPES[spelled], fields))
                 continue
             method = rng.choice(LOOKUP_METHODS)
-            scope = Scope(class_name, method, position)
+            scope = Scope(class_name, method, position, class_position)
             pairs = [
                 (rng.choice(list(LOOKUP_TYPES)), rng.choice(LOOKUP_NAMES[:3]))
                 for _ in range(rng.randrange(0, 4))
@@ -589,18 +604,27 @@ def _random_unit(rng):
             members.append(f"void {method}({parameters}) {{ {locals_} }}")
             declared += [VariableBinding(n, LOOKUP_TYPES[t], scope) for t, n in pairs]
         classes.append(f"class {class_name} {{ {' '.join(members)} }}")
-    return "\n".join(classes), declared
+    return "\n".join(classes), names, declared
 
 
 def test_index_lookups_equal_the_list_scan_oracle():
     # How often each case the index must get right occurred, to show that
     # the random units cover them all.
     seen = dict.fromkeys(
-        ("repeated key", "shadowed field", "overload", "field only", "miss", "repeated class"), 0
+        (
+            "repeated key",
+            "shadowed field",
+            "overload",
+            "field only",
+            "miss",
+            "repeated class",
+            "same-named class",
+        ),
+        0,
     )
     rng = random.Random(4041)
     for _ in range(300):
-        source, declared = _random_unit(rng)
+        source, names, declared = _random_unit(rng)
         index, diagnostics = get_all_variables_types(parse_source(source, file_name="U.java"))
         keys = {(b.scope, b.variable_name) for b in declared}
         assert len(index) == len(keys)
@@ -608,18 +632,22 @@ def test_index_lookups_equal_the_list_scan_oracle():
         seen["repeated key"] += len(diagnostics)
         method_scopes = {b.scope for b in declared if b.scope.position is not None}
         for scope in method_scopes:
-            seen["shadowed field"] += any(
-                (Scope(scope.class_name), name) in keys for s, name in keys if s == scope
-            )
+            fields = Scope(scope.class_name, class_position=scope.class_position)
+            seen["shadowed field"] += any((fields, name) in keys for s, name in keys if s == scope)
             seen["overload"] += any(
                 other.method_name == scope.method_name and other != scope
                 for other in method_scopes
-                if other.class_name == scope.class_name
+                if other.class_position == scope.class_position
             )
-        for class_name in LOOKUP_CLASSES + ("Z",):
+        seen["same-named class"] += len(names) - len(set(names))
+        # Each class declaration of the unit, and one past its last class.
+        for class_position, class_name in enumerate(names + ["Z"]):
             # A method declaration that binds nothing sees the fields only.
-            queried = [Scope(class_name), Scope(class_name, "m", 99)]
-            queried += [scope for scope in method_scopes if scope.class_name == class_name]
+            queried = [
+                Scope(class_name, class_position=class_position),
+                Scope(class_name, "m", 99, class_position),
+            ]
+            queried += [s for s in method_scopes if s.class_position == class_position]
             for scope in queried:
                 for name in LOOKUP_NAMES:
                     expected = oracle_lookup_binding(name, declared, scope)

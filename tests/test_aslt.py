@@ -20,6 +20,7 @@ from compatcheck.aslt import (
     write_aslt,
 )
 
+from oracles import oracle_read_aslt
 from randgen import random_program_tree, random_serial_tree
 
 SAMPLE_CALLER = """class SampleClassA {
@@ -530,6 +531,119 @@ def test_line_error_below_a_structure_error_is_reported_first():
     with pytest.raises(AsltFormatError) as exc:
         read_aslt(text)
     assert str(exc.value) == "line 9: unknown node kind 'Bogus'"
+
+
+def _read_outcome(reader, text: str):
+    """The tree and every node's span, or the error's line number and message."""
+    try:
+        tree = reader(text, file_name="M.aslt")
+    except AsltFormatError as exc:
+        return "error", exc.line_number, str(exc)
+    return "tree", tree, [node.span for node in iter_nodes(tree)]
+
+
+def _assert_reads_as_the_oracle(text: str):
+    outcome = _read_outcome(read_aslt, text)
+    assert outcome == _read_outcome(oracle_read_aslt, text), text
+    return outcome
+
+
+_INSERTED_LINES = (
+    "", "  ", "   ", "\t", " \t ", "  Bogus", "    Block", "Block", 'CompilationUnit file="Z"'
+)
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> str:
+    """Apply one to three random edits to a written tree's lines."""
+    lines = list(lines)
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(len(lines))
+        edit = rng.randrange(7)
+        if edit == 0:  # one or two spaces more or fewer of indentation
+            spaces = " " * rng.randrange(1, 3)
+            if rng.random() < 0.5:
+                lines[at] = spaces + lines[at]
+            else:
+                lines[at] = lines[at].removeprefix(spaces)
+        elif edit == 1 and len(lines) > 1:
+            del lines[at]
+        elif edit == 2:
+            lines.insert(at, lines[at])
+        elif edit == 3:  # a second root
+            lines.insert(at, lines[0])
+        elif edit == 4:
+            lines.insert(at, rng.choice(_INSERTED_LINES))
+        elif edit == 5 and '"' in lines[at]:  # drop one quote
+            quotes = [i for i, c in enumerate(lines[at]) if c == '"']
+            cut = rng.choice(quotes)
+            lines[at] = lines[at][:cut] + lines[at][cut + 1 :]
+        else:  # repeat a line somewhere else, at its own indentation
+            lines.insert(rng.randrange(len(lines) + 1), lines[at])
+    return "\n".join(lines)
+
+
+def test_mutated_trees_read_as_the_two_pass_oracle():
+    rng = random.Random(0x0A51)
+    texts = 4000
+    messages = set()
+    trees = 0
+    for _ in range(texts):
+        tree = random_serial_tree(rng) if rng.random() < 0.3 else random_program_tree(rng)
+        outcome = _assert_reads_as_the_oracle(_mutate(rng, write_aslt(tree).split("\n")))
+        if outcome[0] == "tree":
+            trees += 1
+        else:
+            messages.add(outcome[2].split(": ", 1)[1].split(" '")[0])
+    assert texts // 10 < trees < texts - texts // 10
+    assert {
+        "the root node must not be indented",
+        "more than one root node",
+        "indentation jumps more than one level",
+        "indentation must be a multiple of two spaces",
+        "unknown node kind",
+        "no nodes",
+    } <= messages
+
+
+_UNIT = "CompilationUnit\n"
+_CLASS_A = '  ClassDeclaration name="A"\n'
+
+
+@pytest.mark.parametrize(
+    "text, line_number, message",
+    [
+        # Line 2 is read at depth 1 before the second root is held as a fault.
+        (_UNIT + _CLASS_A + _UNIT + _CLASS_A, 3, "more than one root node"),
+        (_UNIT + _CLASS_A + _UNIT + _CLASS_A + "  Bogus\n" + _CLASS_A, 5, "unknown node kind 'Bogus'"),
+        (
+            _UNIT + _CLASS_A + "      Block\n" + _CLASS_A + "      Block\n",
+            3,
+            "indentation jumps more than one level",
+        ),
+        # A repeated line is checked against the open nodes where it repeats.
+        (
+            _UNIT + _CLASS_A + "    Block\n      Block\n" + _CLASS_A + "      Block\n",
+            6,
+            "indentation jumps more than one level",
+        ),
+        ("  Block\n" + _CLASS_A + _UNIT + _CLASS_A, 1, "the root node must not be indented"),
+    ],
+)
+def test_a_read_line_that_repeats_after_a_structure_fault(text, line_number, message):
+    expected = ("error", line_number, f"line {line_number}: {message}")
+    assert _assert_reads_as_the_oracle(text) == expected
+
+
+def test_a_whitespace_only_line_that_repeats():
+    gap = " \t \n"
+    text = "CompilationUnit\n" + gap + "  Block\n" + gap + "  Block\n" + gap + "   \n   \n"
+    outcome = _assert_reads_as_the_oracle(text)
+    assert outcome[1] == AsltNode(aslt.COMPILATION_UNIT, {}, (AsltNode(aslt.BLOCK),) * 2)
+    assert [span.start_line for span in outcome[2]] == [1, 3, 5]
+    assert _assert_reads_as_the_oracle(gap * 3 + "\t\n" * 2) == ("error", 1, "line 1: no nodes")
+    assert _assert_reads_as_the_oracle(gap * 2 + " Block\n") == (
+        "error", 3, "line 3: indentation must be a multiple of two spaces"
+    )
 
 
 # ---------------------------------------------------------------------------
