@@ -210,7 +210,8 @@ def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnost
     """
     bindings: BindingIndex = {}
     diagnostics: list[Diagnostic] = []
-    file_name = tree.attributes.get("file", "")
+    # The file that was read: a tree read from .aslt names its source in "file".
+    file_name = tree.span.file if tree.span is not None else tree.attributes.get("file", "")
 
     def add(declaration: AsltNode, namers: Iterable[AsltNode], scope: Scope) -> None:
         """Bind the name of each of ``namers`` to the declaration's type, if any."""

@@ -578,10 +578,7 @@ class _Parser:
     def variable_declaration(self) -> AsltNode:
         start = self.tokens[self.pos]
         declared = self.type_reference()
-        if declared.attributes["name"] == "void":
-            raise ParseError(
-                "void is only valid as a method return type", start.line, start.column
-            )
+        self.reject_void(declared, start)
         declarators = [self.declarator()]
         while self.take(","):
             declarators.append(self.declarator())

@@ -1,28 +1,16 @@
 """Project configuration: parsing and validation of ``constants.properties``.
 
 The analyser is driven by a small plain-text properties file.  One required
-key names the project directory; the remaining keys (file extensions, node
-kind names, debug level) all have defaults.
+key names the project directory; the other three (the tree and class-file
+extensions and the debug level) have defaults.  Any other key is ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 from typing import Mapping
-
-# The seven node-kind configuration keys.  By default each key maps to
-# itself, which is also the canonical vocabulary used in .aslt files.
-NODE_KIND_KEYS = (
-    "ASLTJavaExpressionStatement",
-    "ASLTJavaIdentifierExpression",
-    "ASLTJavaLiteralTag",
-    "ASLTJavaMethodInvokeExpression",
-    "ASLTJavaSimpleAssignmentOperatorExpression",
-    "ASLTJavaVariableDeclarator",
-    "ASLTJavaVariableDeclaration",
-)
 
 # The suffix of a source file.  The tree and class-file suffixes are set by
 # the two extension keys.
@@ -33,9 +21,7 @@ KEY_ASLT_EXTENSION = "ASLTFileExtension"
 KEY_CLASS_EXTENSION = "ClassFileExtension"
 KEY_DEBUG_LEVEL = "DebugLevel"
 
-KNOWN_KEYS = frozenset(
-    (KEY_PATH, KEY_ASLT_EXTENSION, KEY_CLASS_EXTENSION, KEY_DEBUG_LEVEL) + NODE_KIND_KEYS
-)
+KNOWN_KEYS = frozenset((KEY_PATH, KEY_ASLT_EXTENSION, KEY_CLASS_EXTENSION, KEY_DEBUG_LEVEL))
 
 
 class ConfigError(Exception):
@@ -64,10 +50,6 @@ class InvalidDebugLevelError(ConfigError):
         self.value = value
 
 
-def _default_node_kinds() -> dict[str, str]:
-    return {key: key for key in NODE_KIND_KEYS}
-
-
 @dataclass(frozen=True, slots=True)
 class ProjectConfig:
     """Validated settings for one analyser run.
@@ -78,7 +60,6 @@ class ProjectConfig:
     path_to_application: Path
     aslt_file_extension: str = ".aslt"
     class_file_extension: str = ".class"
-    node_kind_names: dict[str, str] = field(default_factory=_default_node_kinds)
     debug_level: int = 0
 
 
@@ -107,7 +88,9 @@ def load_config(kv: Mapping[str, str], base_dir: Path | str | None = None) -> Pr
 
     A relative ``PathToApplication`` is resolved against ``base_dir``
     (normally the directory holding the properties file; the current
-    directory when omitted).  Unknown keys are ignored.
+    directory when omitted).  Keys outside :data:`KNOWN_KEYS` are ignored,
+    among them the original tool's seven ``ASLTJava…`` node-kind keys: the
+    node kinds are fixed names in :mod:`compatcheck.aslt`.
     """
     if KEY_PATH not in kv:
         raise MissingKeyError(KEY_PATH)
@@ -145,16 +128,7 @@ def load_config(kv: Mapping[str, str], base_dir: Path | str | None = None) -> Pr
     digits = raw_level.lstrip("0") or "0"
     if not raw_level or digits not in ("0", "1", "2"):
         raise InvalidDebugLevelError(raw_level)
-    debug_level = int(digits)
-
-    node_kinds: dict[str, str] = {}
-    for key in NODE_KIND_KEYS:
-        name = kv.get(key, key)
-        if not name:
-            raise ConfigError(f"{key} must map to a non-empty node kind name")
-        node_kinds[key] = name
-
-    return ProjectConfig(path, aslt_extension, class_extension, node_kinds, debug_level)
+    return ProjectConfig(path, aslt_extension, class_extension, int(digits))
 
 
 def render_properties(config: ProjectConfig) -> str:
@@ -166,8 +140,6 @@ def render_properties(config: ProjectConfig) -> str:
     lines = [f"{KEY_PATH}={config.path_to_application}"]
     lines.append(f"{KEY_ASLT_EXTENSION}={config.aslt_file_extension}")
     lines.append(f"{KEY_CLASS_EXTENSION}={config.class_file_extension}")
-    for key in NODE_KIND_KEYS:
-        lines.append(f"{key}={config.node_kind_names[key]}")
     lines.append(f"{KEY_DEBUG_LEVEL}={config.debug_level}")
     return "\n".join(lines) + "\n"
 

@@ -234,8 +234,17 @@ def test_parse_rejects_empty_source():
 
 
 def test_parse_rejects_void_variable():
-    with pytest.raises(ParseError):
-        parse_source("class A { void m() { void x; } }")
+    # A void local, field or parameter gets one message, at the type.
+    for source, column in (
+        ("class A { void m() { void x; } }", 22),
+        ("class A { void x; }", 11),
+        ("class A { void m(void x) {} }", 18),
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse_source(source)
+        assert str(caught.value) == (
+            f"1:{column}: void is only valid as a method return type (expected type name)"
+        )
 
 
 def test_parse_rejects_void_parameter():

@@ -69,6 +69,12 @@ def test_testbed_writes_seven_files(testbed):
     ]
 
 
+def test_testbed_config_sets_the_four_keys(testbed):
+    assert (testbed / "constants.properties").read_text(encoding="utf-8") == (
+        "PathToApplication=.\nASLTFileExtension=.aslt\nClassFileExtension=.class\nDebugLevel=1\n"
+    )
+
+
 def test_testbed_generation_is_deterministic(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"
@@ -414,6 +420,19 @@ def test_duplicate_class_warns_on_the_later_file_only(tmp_path, capsys):
     assert out.startswith("error[ParamTypeMismatch] at two/A.java:1:47\n")
     assert out.endswith("\n1 error\n")
     assert "duplicate" not in out
+
+
+def test_aslt_input_warnings_name_the_file_read(tmp_path, capsys):
+    # The tree's "file" attribute names SameName.java, which is not there.
+    tree = aslt.parse_source("class S { int x; long x; }", file_name="SameName.java")
+    (tmp_path / "SameName.aslt").write_text(aslt.write_aslt(tree), encoding="utf-8")
+    (tmp_path / "Other.java").write_text("class S { }", encoding="utf-8")
+    (tmp_path / "c.properties").write_text("PathToApplication=.\n", encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "c.properties")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: SameName.aslt: duplicate class 'S', first declared in Other.java\n"
+        "warning: SameName.aslt: duplicate variable 'x' in scope S\n"
+    )
 
 
 def test_duplicate_class_in_one_file_names_that_file(tmp_path):
@@ -894,6 +913,38 @@ def test_unknown_config_keys_notice_at_debug_level(testbed, capsys):
     assert "MysteryKey" in capsys.readouterr().err
     main(["run", "--config", str(properties), "--debug-level", "0"])
     assert "MysteryKey" not in capsys.readouterr().err
+
+
+# Out of order, so that the notice's sorting shows.
+_ORIGINAL_KIND_KEYS = (
+    "ASLTJavaVariableDeclaration",
+    "ASLTJavaVariableDeclarator",
+    "ASLTJavaSimpleAssignmentOperatorExpression",
+    "ASLTJavaMethodInvokeExpression",
+    "ASLTJavaLiteralTag",
+    "ASLTJavaIdentifierExpression",
+    "ASLTJavaExpressionStatement",
+)
+
+
+def test_original_node_kind_keys_are_ignored_with_one_notice(testbed, capsys):
+    properties = testbed / "constants.properties"
+    main(["run", "--config", str(properties), "--debug-level", "1"])
+    plain = capsys.readouterr()
+    properties.write_text(
+        properties.read_text(encoding="utf-8")
+        + "".join(f"{key}={key}\n" for key in _ORIGINAL_KIND_KEYS),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(properties), "--debug-level", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain.out
+    notices = [line for line in err.splitlines() if line.startswith("notice:")]
+    assert notices == [
+        "notice: ignoring unknown configuration keys: " + ", ".join(sorted(_ORIGINAL_KIND_KEYS))
+    ]
+    assert main(["run", "--config", str(properties), "--debug-level", "0"]) == 0
+    assert "notice:" not in capsys.readouterr().err
 
 
 def test_every_report_maps_to_exactly_one_call_site(testbed):

@@ -1,10 +1,10 @@
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
 from compatcheck.config import (
-    NODE_KIND_KEYS,
     ConfigError,
     InvalidDebugLevelError,
     MalformedLineError,
@@ -74,9 +74,24 @@ def test_load_reference_properties_contents():
     assert cfg.debug_level == 1
     assert cfg.aslt_file_extension == ".aslt"
     assert cfg.class_file_extension == ".class"
-    assert set(cfg.node_kind_names) == set(NODE_KIND_KEYS)
-    for key in NODE_KIND_KEYS:
-        assert cfg.node_kind_names[key] == key
+    # The seven ASLTJava... node-kind keys are ignored.
+    assert cfg == ProjectConfig(Path("/tmp") / "E:/Eclipse/Analyser/DUT/test1", debug_level=1)
+
+
+def test_project_config_has_four_fields():
+    names = [f.name for f in dataclasses.fields(ProjectConfig)]
+    assert names == ["path_to_application", "aslt_file_extension", "class_file_extension", "debug_level"]
+
+
+def test_loaded_configs_are_immutable_equal_and_hash_alike(tmp_path):
+    path = tmp_path / "constants.properties"
+    path.write_text(REFERENCE_PROPERTIES, encoding="utf-8")
+    first, second = load_config_file(path), load_config_file(path)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.debug_level = 2
 
 
 def test_load_requires_path():
@@ -138,7 +153,7 @@ def test_load_defaults():
     assert cfg.aslt_file_extension == ".aslt"
     assert cfg.class_file_extension == ".class"
     assert cfg.debug_level == 0
-    assert cfg.node_kind_names == {k: k for k in NODE_KIND_KEYS}
+    assert cfg == ProjectConfig(Path("/p"))
 
 
 def test_load_rejects_bad_extension():
@@ -206,11 +221,6 @@ def test_load_accepts_a_multi_dot_extension():
     assert cfg.aslt_file_extension == ".tree.aslt"
 
 
-def test_load_rejects_empty_node_kind_name():
-    with pytest.raises(ConfigError):
-        load_config({"PathToApplication": "/p", "ASLTJavaLiteralTag": ""})
-
-
 def test_load_ignores_unknown_keys():
     cfg = load_config({"PathToApplication": "/p", "SomethingElse": "whatever"})
     assert cfg.path_to_application == Path("/p")
@@ -235,12 +245,10 @@ def test_load_config_file(tmp_path):
 
 
 def _random_config(rng: random.Random) -> ProjectConfig:
-    kinds = {key: rng.choice([key, f"Kind{rng.randrange(100)}"]) for key in NODE_KIND_KEYS}
     return ProjectConfig(
         path_to_application=Path("/proj") / f"p{rng.randrange(1000)}",
         aslt_file_extension="." + rng.choice(["aslt", "a", "tree"]),
         class_file_extension="." + rng.choice(["class", "bin"]),
-        node_kind_names=kinds,
         debug_level=rng.choice((0, 1, 2)),
     )
 
