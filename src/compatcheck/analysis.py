@@ -94,8 +94,19 @@ class Location:
     line: int
     column: int
 
+    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
+    def __init__(self, file: str, line: int, column: int):
+        _set_location_file(self, file)
+        _set_location_line(self, line)
+        _set_location_column(self, column)
+
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+_set_location_file = Location.__dict__["file"].__set__
+_set_location_line = Location.__dict__["line"].__set__
+_set_location_column = Location.__dict__["column"].__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,8 +138,36 @@ class CallSite:
     expected_return: TypeName | Unconstrained
     location: Location
 
+    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
+    def __init__(
+        self,
+        caller_class: str,
+        caller_method: str | None,
+        receiver_class: TypeName | Unresolved,
+        invoked_name: str,
+        argument_types: tuple[TypeName | Unresolved, ...],
+        expected_return: TypeName | Unconstrained,
+        location: Location,
+    ):
+        _set_call_caller_class(self, caller_class)
+        _set_call_caller_method(self, caller_method)
+        _set_call_receiver_class(self, receiver_class)
+        _set_call_invoked_name(self, invoked_name)
+        _set_call_argument_types(self, argument_types)
+        _set_call_expected_return(self, expected_return)
+        _set_call_location(self, location)
+
     def __str__(self) -> str:
         return f"{self.receiver_class}.{self.invoked_name}"
+
+
+_set_call_caller_class = CallSite.__dict__["caller_class"].__set__
+_set_call_caller_method = CallSite.__dict__["caller_method"].__set__
+_set_call_receiver_class = CallSite.__dict__["receiver_class"].__set__
+_set_call_invoked_name = CallSite.__dict__["invoked_name"].__set__
+_set_call_argument_types = CallSite.__dict__["argument_types"].__set__
+_set_call_expected_return = CallSite.__dict__["expected_return"].__set__
+_set_call_location = CallSite.__dict__["location"].__set__
 
 
 class MismatchKind(Enum):
@@ -313,12 +352,6 @@ def resolve_argument_type(
 # Call sites
 # ---------------------------------------------------------------------------
 
-def _location(node: AsltNode) -> Location:
-    if node.span is None:
-        return Location("", 0, 0)
-    return Location(node.span.file, node.span.start_line, node.span.start_column)
-
-
 def get_all_method_calls(
     tree: AsltNode, bindings: BindingIndex, classes: ClassIndex
 ) -> list[CallSite]:
@@ -360,17 +393,18 @@ def get_all_method_calls(
             expected = UNCONSTRAINED
         else:
             continue
+        span = node.span
         calls.append(
             CallSite(
-                caller_class=scope.class_name,
-                caller_method=scope.method_name,
-                receiver_class=receiver,
-                invoked_name=invoked_name,
-                argument_types=tuple(
-                    resolve_argument_type(a, bindings, classes, scope) for a in arguments
-                ),
-                expected_return=expected,
-                location=_location(node),
+                scope.class_name,
+                scope.method_name,
+                receiver,
+                invoked_name,
+                tuple([resolve_argument_type(a, bindings, classes, scope) for a in arguments]),
+                expected,
+                Location(span.file, span.start_line, span.start_column)
+                if span is not None
+                else Location("", 0, 0),
             )
         )
         for argument in reversed(arguments):
@@ -446,6 +480,49 @@ def _report(
     )
 
 
+# What a call shape comes to: no report, or the kind, the called class and the
+# nearest overload of its report.
+_Verdict = tuple[MismatchKind, ClassInfo | None, MethodSignature | None] | None
+
+
+def _verdict(
+    call: CallSite,
+    by_name: ClassIndex,
+    overloads: dict[str, dict[str, list[MethodSignature]]],
+    widening: bool,
+) -> _Verdict:
+    """Decide one call shape: everything of the call but its place and caller."""
+    receiver = call.receiver_class
+    info = None
+    if isinstance(receiver, TypeName) and receiver.dims == 0:
+        info = by_name.get(receiver.name)
+    if info is None:
+        if call.invoked_name == CONSTRUCTOR_NAME:
+            return None  # partially available black-box component
+        return MismatchKind.UNKNOWN_CLASS, None, None
+    candidates = overloads[info.qualified_name].get(call.invoked_name)
+    if not candidates:
+        return MismatchKind.UNKNOWN_METHOD, info, None
+    if any(_matches(call, signature, widening) for signature in candidates):
+        return None
+    nearest = next(
+        (m for m in candidates if len(m.parameter_types) == len(call.argument_types)),
+        candidates[0],
+    )
+    if any(isinstance(arg, Unresolved) for arg in call.argument_types):
+        kind = MismatchKind.UNRESOLVED_ARGUMENT
+    elif len(call.argument_types) != len(nearest.parameter_types):
+        kind = MismatchKind.ARITY_MISMATCH
+    elif not all(
+        _assignable(arg, param, widening)
+        for arg, param in zip(call.argument_types, nearest.parameter_types)
+    ):
+        kind = MismatchKind.PARAM_TYPE_MISMATCH
+    else:
+        kind = MismatchKind.RETURN_TYPE_MISMATCH
+    return kind, info, nearest
+
+
 def method_called(
     calls: list[CallSite], classes: list[ClassInfo], widening: bool = False
 ) -> list[MismatchReport]:
@@ -457,41 +534,30 @@ def method_called(
     types, return type; a call with any unresolved argument is reported as
     UnresolvedArgument.  Constructor calls on classes that are not present
     are allowed silently.  Reports are ordered by location.
+
+    Each class's methods are grouped by name once, overloads kept in
+    declaration order, and each distinct call shape (receiver, method name,
+    argument types, expected return) is decided once per call of this
+    function; every report still takes its location, caller and given types
+    from its own call.
     """
     by_name = index_classes(classes)
+    overloads: dict[str, dict[str, list[MethodSignature]]] = {}
+    for qualified_name, info in by_name.items():
+        by_method: dict[str, list[MethodSignature]] = {}
+        for signature in info.methods:
+            by_method.setdefault(signature.name, []).append(signature)
+        overloads[qualified_name] = by_method
+    verdicts: dict[tuple, _Verdict] = {}
     reports: list[MismatchReport] = []
     for call in calls:
-        receiver = call.receiver_class
-        info = None
-        if isinstance(receiver, TypeName) and receiver.dims == 0:
-            info = by_name.get(receiver.name)
-        if info is None:
-            if call.invoked_name == CONSTRUCTOR_NAME:
-                continue  # partially available black-box component
-            reports.append(_report(call, MismatchKind.UNKNOWN_CLASS, None, None))
-            continue
-        candidates = [m for m in info.methods if m.name == call.invoked_name]
-        if not candidates:
-            reports.append(_report(call, MismatchKind.UNKNOWN_METHOD, info, None))
-            continue
-        if any(_matches(call, signature, widening) for signature in candidates):
-            continue
-        nearest = next(
-            (m for m in candidates if len(m.parameter_types) == len(call.argument_types)),
-            candidates[0],
-        )
-        if any(isinstance(arg, Unresolved) for arg in call.argument_types):
-            kind = MismatchKind.UNRESOLVED_ARGUMENT
-        elif len(call.argument_types) != len(nearest.parameter_types):
-            kind = MismatchKind.ARITY_MISMATCH
-        elif not all(
-            _assignable(arg, param, widening)
-            for arg, param in zip(call.argument_types, nearest.parameter_types)
-        ):
-            kind = MismatchKind.PARAM_TYPE_MISMATCH
-        else:
-            kind = MismatchKind.RETURN_TYPE_MISMATCH
-        reports.append(_report(call, kind, info, nearest))
+        shape = (call.receiver_class, call.invoked_name, call.argument_types, call.expected_return)
+        try:
+            verdict = verdicts[shape]
+        except KeyError:
+            verdict = verdicts[shape] = _verdict(call, by_name, overloads, widening)
+        if verdict is not None:
+            reports.append(_report(call, *verdict))
 
     reports.sort(key=lambda r: (r.location.file, r.location.line, r.location.column))
     return reports

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+
+import pytest
 
 from compatcheck import analysis, aslt
 from compatcheck.analysis import (
@@ -562,6 +565,173 @@ def test_oracle_equivalence_random_projects():
             assert method_called(calls, classes, widening=widening) == oracle_reports(
                 calls, classes, widening
             )
+
+
+def _shapes_repeated(rng, calls, copies):
+    """Each call's shape again at ``copies`` other places, files and callers,
+    every call at a line of its own."""
+    repeated = []
+    for call in calls:
+        for _ in range(copies + 1):
+            line = len(repeated) + 1
+            repeated.append(
+                dataclasses.replace(
+                    call,
+                    caller_class=f"Caller{line % 5}",
+                    caller_method=rng.choice(("m", "n", None)),
+                    location=Location(f"F{line % 3}.java", line, rng.randrange(1, 30)),
+                )
+            )
+    rng.shuffle(repeated)
+    return repeated
+
+
+def test_repeated_call_shapes_are_decided_alike_at_every_site():
+    rng = random.Random(1414)
+    seen_kinds = set()
+    matched = array_receivers = unresolved_receivers = unresolved_arguments = missing_inits = 0
+    for _ in range(60):
+        classes = oracle_classes(rng)
+        calls = _shapes_repeated(rng, oracle_calls(rng, classes), copies=3)
+        by_line = {call.location.line: call for call in calls}
+        known = {info.qualified_name for info in classes}
+        for widening in (False, True):
+            reports = method_called(calls, classes, widening=widening)
+            assert reports == oracle_reports(calls, classes, widening)
+            for report in reports:
+                call = by_line[report.location.line]
+                assert report.location is call.location
+                assert report.aslt_class_name == call.caller_class
+                assert report.given_parameters is call.argument_types
+                assert report.given_return is call.expected_return
+            seen_kinds |= {report.kind for report in reports}
+            matched += len(calls) - len(reports)
+        for call in calls:
+            receiver = call.receiver_class
+            array_receivers += isinstance(receiver, TypeName) and receiver.dims > 0
+            unresolved_receivers += isinstance(receiver, Unresolved)
+            unresolved_arguments += any(isinstance(a, Unresolved) for a in call.argument_types)
+            missing_inits += (
+                call.invoked_name == "<init>"
+                and isinstance(receiver, TypeName)
+                and receiver.name not in known
+            )
+    assert seen_kinds == set(MismatchKind)
+    assert min(matched, array_receivers, unresolved_receivers, unresolved_arguments, missing_inits) > 0
+
+
+class _CountedMethods(tuple):
+    """A methods tuple that counts how often it is iterated."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_each_class_is_scanned_at_most_once_per_comparison():
+    first_b = _CountedMethods(
+        (
+            MethodSignature("<init>", (), VOID),
+            MethodSignature("f", (INT,), INT),
+            MethodSignature("f", (STRING,), VOID),
+            MethodSignature("g", (), STRING),
+        )
+    )
+    second_b = _CountedMethods((MethodSignature("h", (), VOID), MethodSignature("f", (), VOID)))
+    c_methods = _CountedMethods((MethodSignature("f", (INT, INT), VOID),))
+    classes = [
+        ClassInfo("B", methods=first_b),
+        ClassInfo("C", methods=c_methods),
+        ClassInfo("B", methods=second_b),  # a second class file of the same name
+    ]
+    shapes = [
+        (TypeName("B"), "f", (INT,), INT),  # matched
+        (TypeName("B"), "f", (STRING,), UNCONSTRAINED),  # matched
+        (TypeName("B"), "f", (), UNCONSTRAINED),  # only the second B has f()
+        (TypeName("B"), "h", (), UNCONSTRAINED),  # only the second B has h()
+        (TypeName("B"), "f", (TypeName("boolean"),), UNCONSTRAINED),
+        (TypeName("B"), "g", (), INT),
+        (TypeName("B"), "f", (UNRESOLVED,), UNCONSTRAINED),
+        (TypeName("C"), "f", (INT,), UNCONSTRAINED),
+        (TypeName("C", 1), "f", (INT, INT), UNCONSTRAINED),
+        (UNRESOLVED, "f", (), UNCONSTRAINED),
+        (TypeName("Ghost"), "<init>", (INT,), UNCONSTRAINED),
+        (TypeName("Ghost"), "f", (), UNCONSTRAINED),
+    ]
+    calls = [
+        _call(receiver, name, args, expected, line=line)
+        for line, (receiver, name, args, expected) in enumerate(shapes * 300, start=1)
+    ]
+    for widening in (False, True):
+        for methods in (first_b, second_b, c_methods):
+            methods.scans = 0
+        reports = method_called(calls, classes, widening=widening)
+        assert all(methods.scans <= 1 for methods in (first_b, second_b, c_methods))
+        assert reports == oracle_reports(calls, classes, widening)
+        unknown = {r.called_method for r in reports if r.kind is MismatchKind.UNKNOWN_METHOD}
+        assert unknown == {"h"}
+        assert [r.kind for r in reports[:10]] == [
+            MismatchKind.ARITY_MISMATCH,
+            MismatchKind.UNKNOWN_METHOD,
+            MismatchKind.PARAM_TYPE_MISMATCH,
+            MismatchKind.RETURN_TYPE_MISMATCH,
+            MismatchKind.UNRESOLVED_ARGUMENT,
+            MismatchKind.ARITY_MISMATCH,
+            MismatchKind.UNKNOWN_CLASS,
+            MismatchKind.UNKNOWN_CLASS,
+            MismatchKind.UNKNOWN_CLASS,
+            MismatchKind.ARITY_MISMATCH,
+        ]
+
+
+def test_call_records_build_alike_positionally_and_by_keyword():
+    location = Location("A.java", 3, 7)
+    assert location == Location(file="A.java", line=3, column=7)
+    assert hash(location) == hash(Location(file="A.java", line=3, column=7))
+    call = CallSite("A", "m", TypeName("B"), "f", (INT, UNRESOLVED), UNCONSTRAINED, location)
+    by_keyword = CallSite(
+        caller_class="A",
+        caller_method="m",
+        receiver_class=TypeName("B"),
+        invoked_name="f",
+        argument_types=(INT, UNRESOLVED),
+        expected_return=UNCONSTRAINED,
+        location=Location("A.java", 3, 7),
+    )
+    assert call == by_keyword
+    assert hash(call) == hash(by_keyword)
+    assert call != dataclasses.replace(call, expected_return=INT)
+
+    assert [f.name for f in dataclasses.fields(Location)] == ["file", "line", "column"]
+    assert [f.name for f in dataclasses.fields(CallSite)] == [
+        "caller_class",
+        "caller_method",
+        "receiver_class",
+        "invoked_name",
+        "argument_types",
+        "expected_return",
+        "location",
+    ]
+    moved = dataclasses.replace(call, location=dataclasses.replace(location, line=4))
+    assert moved.location == Location("A.java", 4, 7)
+    assert dataclasses.replace(moved, location=location) == call
+
+    assert repr(location) == "Location(file='A.java', line=3, column=7)"
+    assert repr(call) == (
+        "CallSite(caller_class='A', caller_method='m', receiver_class=TypeName(name='B', dims=0), "
+        "invoked_name='f', argument_types=(TypeName(name='int', dims=0), Unresolved()), "
+        "expected_return=Unconstrained(), location=" + repr(location) + ")"
+    )
+    assert str(call) == "B.f"
+    assert str(location) == "A.java:3:7"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        location.line = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        call.invoked_name = "g"
+    assert not hasattr(call, "__dict__")
+    assert not hasattr(location, "__dict__")
 
 
 # ---------------------------------------------------------------------------
