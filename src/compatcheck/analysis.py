@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import aslt
@@ -41,12 +42,26 @@ WIDENING = {
     "float": ("double",),
 }
 
+
+@lru_cache(maxsize=4096)
+def _type_name(name: str, dims: str) -> TypeName:
+    """The one shared TypeName of a resolved name and a ``dims`` attribute.
+
+    Every type the analysis builds from source text comes from here, so
+    equal types are almost always the same object and the call shapes of
+    :func:`method_called` compare by identity.  Both arguments are strings,
+    always passed positionally, so one spelling is one cache key.  A bad
+    ``dims`` raises ``ValueError`` on every call: exceptions are not cached.
+    """
+    return TypeName(name, int(dims))
+
+
 _LITERAL_TYPES = {
-    "string": TypeName("java.lang.String"),
-    "integer": TypeName("int"),
-    "floating": TypeName("double"),
-    "char": TypeName("char"),
-    "boolean": TypeName("boolean"),
+    "string": _type_name("java.lang.String", "0"),
+    "integer": _type_name("int", "0"),
+    "floating": _type_name("double", "0"),
+    "char": _type_name("char", "0"),
+    "boolean": _type_name("boolean", "0"),
 }
 
 
@@ -205,9 +220,8 @@ def canonical_name(name: str) -> str:
 
 def source_type_name(node: AsltNode) -> TypeName:
     """TypeName for a TypeReference node, canonicalizing default imports."""
-    name = node.attributes.get("name", "")
-    dims = int(node.attributes.get("dims", "0"))
-    return TypeName(canonical_name(name), dims)
+    name = canonical_name(node.attributes.get("name", ""))
+    return _type_name(name, node.attributes.get("dims", "0"))
 
 
 def _declared_type(node: AsltNode) -> TypeName | None:
@@ -274,10 +288,11 @@ def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnost
         for child in member.children:
             if child.kind == aslt.PARAMETER_DECLARATION:
                 add(child, (child,), scope)
-            elif child.kind == aslt.BLOCK:
-                for node in aslt.iter_nodes(child):
-                    if node.kind == aslt.VARIABLE_DECLARATION:
-                        add(node, node.children[1:], scope)
+        # Locals are the declaration statements of the block that extraction reads.
+        block = member.first(aslt.BLOCK)
+        for statement in block.children if block is not None else ():
+            if statement.kind == aslt.VARIABLE_DECLARATION:
+                add(statement, statement.children[1:], scope)
     return bindings, diagnostics
 
 
@@ -303,7 +318,7 @@ def _resolve_receiver(
     """Receiver of an invocation: a bound variable, a class (static call),
     or the enclosing class for bare calls."""
     if len(node.children) < 2:
-        return TypeName(scope.class_name)
+        return _type_name(scope.class_name, "0")
     receiver = node.children[0]
     name = receiver.attributes.get("name", "")
     binding = _lookup_binding(name, bindings, scope)
@@ -311,7 +326,7 @@ def _resolve_receiver(
         return binding.declared_type
     class_name = canonical_name(name)
     if class_name in classes:
-        return TypeName(class_name)
+        return _type_name(class_name, "0")
     return UNRESOLVED
 
 

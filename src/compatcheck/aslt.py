@@ -411,12 +411,23 @@ class _Parser:
             message or f"unexpected {got!r}", token.line, token.column, frozenset(expected)
         )
 
-    def span_from(self, start: Token) -> Span:
-        """The span from ``start`` to the end of the last token taken."""
+    def node(
+        self, kind: str, attributes: dict[str, str], children: tuple[AsltNode, ...], start: Token
+    ) -> AsltNode:
+        """A node spanning from ``start`` to the end of the last token taken.
+
+        Built in place, as :func:`read_aslt` builds its nodes: the parser
+        passes only this module's kind constants, so the constructor's kind
+        check is skipped.
+        """
         last = self.tokens[self.pos - 1]
-        return Span(
-            self.file_name, start.line, start.column, last.line, last.column + len(last.lexeme)
-        )
+        node = object.__new__(AsltNode)
+        _set_node_kind(node, kind)
+        _set_node_attributes(node, attributes)
+        _set_node_children(node, children)
+        end_column = last.column + len(last.lexeme)
+        _set_node_span(node, Span(self.file_name, start.line, start.column, last.line, end_column))
+        return node
 
     # --- grammar ---
 
@@ -429,18 +440,13 @@ class _Parser:
         end = len(self.tokens) - 1
         while self.pos < end:
             children.append(self.class_declaration())
-        return AsltNode(
-            COMPILATION_UNIT,
-            {"file": self.file_name},
-            tuple(children),
-            self.span_from(start),
-        )
+        return self.node(COMPILATION_UNIT, {"file": self.file_name}, tuple(children), start)
 
     def package_declaration(self) -> AsltNode:
         start = self.expect("package")
         name = self.qualified_name()
         self.expect(";")
-        return AsltNode(PACKAGE_DECLARATION, {"name": name}, (), self.span_from(start))
+        return self.node(PACKAGE_DECLARATION, {"name": name}, (), start)
 
     def qualified_name(self) -> str:
         name = self.identifier().lexeme
@@ -465,7 +471,7 @@ class _Parser:
         members: list[AsltNode] = []
         while not self.take("}"):
             members.append(self.member())
-        return AsltNode(CLASS_DECLARATION, attributes, tuple(members), self.span_from(start))
+        return self.node(CLASS_DECLARATION, attributes, tuple(members), start)
 
     def member(self) -> AsltNode:
         start = self.tokens[self.pos]
@@ -481,9 +487,7 @@ class _Parser:
         if self.take("="):
             initializer = (self.expression(3),)
         self.expect(";")
-        return AsltNode(
-            FIELD_DECLARATION, {"name": name}, (declared,) + initializer, self.span_from(start)
-        )
+        return self.node(FIELD_DECLARATION, {"name": name}, (declared,) + initializer, start)
 
     def method_rest(self, start: Token, static: bool, declared: AsltNode, name: str) -> AsltNode:
         attributes = {"name": name}
@@ -498,14 +502,14 @@ class _Parser:
             self.expect(")")
         body = self.block()
         children = (declared, *parameters, body)
-        return AsltNode(METHOD_DECLARATION, attributes, children, self.span_from(start))
+        return self.node(METHOD_DECLARATION, attributes, children, start)
 
     def parameter(self) -> AsltNode:
         start = self.tokens[self.pos]
         declared = self.type_reference()
         self.reject_void(declared, start)
         name = self.identifier().lexeme
-        return AsltNode(PARAMETER_DECLARATION, {"name": name}, (declared,), self.span_from(start))
+        return self.node(PARAMETER_DECLARATION, {"name": name}, (declared,), start)
 
     def reject_void(self, declared: AsltNode, start: Token) -> None:
         if declared.attributes["name"] == "void":
@@ -539,14 +543,14 @@ class _Parser:
         attributes = {"name": base}
         if dims:
             attributes["dims"] = str(dims)
-        return AsltNode(TYPE_REFERENCE, attributes, (), self.span_from(start))
+        return self.node(TYPE_REFERENCE, attributes, (), start)
 
     def block(self) -> AsltNode:
         start = self.expect("{")
         statements: list[AsltNode] = []
         while not self.take("}"):
             statements.append(self.statement())
-        return AsltNode(BLOCK, {}, tuple(statements), self.span_from(start))
+        return self.node(BLOCK, {}, tuple(statements), start)
 
     def statement(self) -> AsltNode:
         start = self.tokens[self.pos]
@@ -563,7 +567,7 @@ class _Parser:
             self.fail({"statement"})
         expression = self.expression(5)
         self.expect(";")
-        return AsltNode(EXPRESSION_STATEMENT, {}, (expression,), self.span_from(start))
+        return self.node(EXPRESSION_STATEMENT, {}, (expression,), start)
 
     def declaration_follows(self) -> bool:
         """Whether the tokens from the current one, an identifier, begin
@@ -583,30 +587,24 @@ class _Parser:
         while self.take(","):
             declarators.append(self.declarator())
         self.expect(";")
-        return AsltNode(
-            VARIABLE_DECLARATION, {}, (declared, *declarators), self.span_from(start)
-        )
+        return self.node(VARIABLE_DECLARATION, {}, (declared, *declarators), start)
 
     def declarator(self) -> AsltNode:
         start = self.identifier()
         initializer: tuple[AsltNode, ...] = ()
         if self.take("="):
             initializer = (self.expression(6),)
-        return AsltNode(
-            VARIABLE_DECLARATOR, {"name": start.lexeme}, initializer, self.span_from(start)
-        )
+        return self.node(VARIABLE_DECLARATOR, {"name": start.lexeme}, initializer, start)
 
     def assignment_statement(self) -> AsltNode:
         start = self.tokens[self.pos]
         self.pos += 1  # the identifier, then '=', both seen by statement()
-        target = AsltNode(IDENTIFIER_EXPRESSION, {"name": start.lexeme}, (), self.span_from(start))
+        target = self.node(IDENTIFIER_EXPRESSION, {"name": start.lexeme}, (), start)
         self.pos += 1
         value = self.expression(6)
-        assignment = AsltNode(
-            SIMPLE_ASSIGNMENT_EXPRESSION, {}, (target, value), self.span_from(start)
-        )
+        assignment = self.node(SIMPLE_ASSIGNMENT_EXPRESSION, {}, (target, value), start)
         self.expect(";")
-        return AsltNode(EXPRESSION_STATEMENT, {}, (assignment,), self.span_from(start))
+        return self.node(EXPRESSION_STATEMENT, {}, (assignment,), start)
 
     def return_statement(self) -> AsltNode:
         start = self.tokens[self.pos]
@@ -615,7 +613,7 @@ class _Parser:
         if self.tokens[self.pos].lexeme != ";":
             value = (self.expression(5),)
         self.expect(";")
-        return AsltNode(RETURN_STATEMENT, {}, value, self.span_from(start))
+        return self.node(RETURN_STATEMENT, {}, value, start)
 
     def expression(self, depth: int) -> AsltNode:
         """An expression whose node sits ``depth`` levels below the root.
@@ -633,7 +631,7 @@ class _Parser:
             if following == "(":
                 return self.invocation(depth, None, token)
             self.pos = pos + 1
-            name = AsltNode(IDENTIFIER_EXPRESSION, {"name": token.lexeme}, (), self.span_from(token))
+            name = self.node(IDENTIFIER_EXPRESSION, {"name": token.lexeme}, (), token)
             if (
                 following == "."
                 and tokens[pos + 2].category == "identifier"
@@ -645,7 +643,7 @@ class _Parser:
         if category in LITERAL_CATEGORIES:
             self.pos = pos + 1
             attributes = {"value": token.lexeme, "category": LITERAL_CATEGORIES[category]}
-            return AsltNode(LITERAL_TAG, attributes, (), self.span_from(token))
+            return self.node(LITERAL_TAG, attributes, (), token)
         if token.lexeme == "new":
             return self.new_expression(depth)
         return self.fail({"expression"})
@@ -656,9 +654,7 @@ class _Parser:
         self.pos += 1
         arguments = self.argument_list(depth + 1)
         children = (receiver, arguments) if receiver is not None else (arguments,)
-        return AsltNode(
-            METHOD_INVOKE_EXPRESSION, {"name": name}, children, self.span_from(start)
-        )
+        return self.node(METHOD_INVOKE_EXPRESSION, {"name": name}, children, start)
 
     def new_expression(self, depth: int) -> AsltNode:
         start = self.tokens[self.pos]
@@ -669,9 +665,7 @@ class _Parser:
                 "object creation needs a plain class type", start.line, start.column
             )
         arguments = self.argument_list(depth + 1)
-        return AsltNode(
-            NEW_OBJECT_EXPRESSION, {}, (declared, arguments), self.span_from(start)
-        )
+        return self.node(NEW_OBJECT_EXPRESSION, {}, (declared, arguments), start)
 
     def argument_list(self, depth: int) -> AsltNode:
         if depth > MAX_DEPTH:
@@ -683,7 +677,7 @@ class _Parser:
             while self.take(","):
                 arguments.append(self.expression(depth + 1))
             self.expect(")")
-        return AsltNode(ARGUMENT_LIST, {}, tuple(arguments), self.span_from(start))
+        return self.node(ARGUMENT_LIST, {}, tuple(arguments), start)
 
 
 def parse_source(source: str, file_name: str = "") -> AsltNode:

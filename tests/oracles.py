@@ -17,8 +17,21 @@ from compatcheck.analysis import (
     Unresolved,
     VariableBinding,
 )
-from compatcheck.aslt import MAX_DEPTH, AsltFormatError, AsltNode, Span, _parse_aslt_line
-from compatcheck.classfile import ClassInfo, TypeName
+from compatcheck.aslt import (
+    BLOCK,
+    CLASS_DECLARATION,
+    FIELD_DECLARATION,
+    MAX_DEPTH,
+    METHOD_DECLARATION,
+    PARAMETER_DECLARATION,
+    TYPE_REFERENCE,
+    VARIABLE_DECLARATION,
+    AsltFormatError,
+    AsltNode,
+    Span,
+    _parse_aslt_line,
+)
+from compatcheck.classfile import ClassInfo, Diagnostic, TypeName
 
 # Every legal primitive widening, written out pairwise.
 WIDENING_PAIRS = frozenset(
@@ -182,6 +195,68 @@ def oracle_lookup_binding(
         if binding.variable_name == name and binding.scope == fields:
             return binding
     return None
+
+
+# The names the subset treats as implicitly imported.
+IMPLICIT_IMPORTS = {"String": "java.lang.String", "Object": "java.lang.Object"}
+
+
+def oracle_bindings(
+    tree: AsltNode,
+) -> tuple[dict[tuple[int, int | None, str], VariableBinding], list[Diagnostic]]:
+    """A unit's bindings by the rule that walks every node of each method's
+    block: a VariableDeclaration anywhere below the block binds the names of
+    all its children after the first.  Fields and parameters bind their own
+    name.  The type is the declaration's first TypeReference child; without
+    one nothing is bound.  Keys are (class position, member position or None
+    for fields, name); the first binding of a key stands and each repeat is
+    a duplicate diagnostic."""
+    file_name = tree.span.file if tree.span is not None else tree.attributes.get("file", "")
+    bindings: dict[tuple[int, int | None, str], VariableBinding] = {}
+    diagnostics: list[Diagnostic] = []
+
+    def bind(declaration: AsltNode, names: list[str], scope: Scope) -> None:
+        types = [child for child in declaration.children if child.kind == TYPE_REFERENCE]
+        if not types:
+            return
+        attributes = types[0].attributes
+        name = attributes.get("name", "")
+        declared = TypeName(IMPLICIT_IMPORTS.get(name, name), int(attributes.get("dims", "0")))
+        for name in names:
+            key = (scope.class_position, scope.position, name)
+            if key in bindings:
+                diagnostics.append(
+                    Diagnostic(file_name, f"duplicate variable {name!r} in scope {scope}")
+                )
+            else:
+                bindings[key] = VariableBinding(name, declared, scope)
+
+    def preorder(node: AsltNode):
+        yield node
+        for child in node.children:
+            yield from preorder(child)
+
+    classes = [node for node in tree.children if node.kind == CLASS_DECLARATION]
+    position = 0
+    for class_position, declaration in enumerate(classes):
+        class_name = declaration.attributes.get("name", "")
+        for member in declaration.children:
+            if member.kind == FIELD_DECLARATION:
+                fields = Scope(class_name, class_position=class_position)
+                bind(member, [member.attributes.get("name", "")], fields)
+            elif member.kind == METHOD_DECLARATION:
+                method = member.attributes.get("name", "")
+                scope = Scope(class_name, method, position, class_position)
+                for child in member.children:
+                    if child.kind == PARAMETER_DECLARATION:
+                        bind(child, [child.attributes.get("name", "")], scope)
+                    elif child.kind == BLOCK:
+                        for node in preorder(child):
+                            if node.kind == VARIABLE_DECLARATION:
+                                names = [d.attributes.get("name", "") for d in node.children[1:]]
+                                bind(node, names, scope)
+            position += 1
+    return bindings, diagnostics
 
 
 def oracle_find_class(classes: list[ClassInfo], name: str) -> ClassInfo | None:

@@ -20,7 +20,7 @@ from compatcheck.analysis import (
     method_called,
     resolve_argument_type,
 )
-from compatcheck.aslt import parse_source
+from compatcheck.aslt import parse_source, print_source, read_aslt
 from compatcheck.classfile import (
     VOID,
     ClassInfo,
@@ -28,10 +28,11 @@ from compatcheck.classfile import (
     TypeName,
     emit_classfile,
 )
+from compatcheck.cli import gen_testbed
 from compatcheck.config import ProjectConfig
 
-from oracles import oracle_find_class, oracle_lookup_binding, oracle_reports
-from randgen import oracle_calls, oracle_classes
+from oracles import oracle_bindings, oracle_find_class, oracle_lookup_binding, oracle_reports
+from randgen import oracle_calls, oracle_classes, random_program_tree
 
 STRING = TypeName("java.lang.String")
 INT = TypeName("int")
@@ -222,6 +223,124 @@ def test_duplicate_in_one_overload_is_reported_once():
     assert bindings[(0, 1, "a")].declared_type == STRING
 
 
+def test_bindings_match_the_whole_block_walk_on_random_programs():
+    rng = random.Random(0xB1D)
+    for _ in range(300):
+        tree = random_program_tree(rng)
+        for unit in (tree, parse_source(print_source(tree), file_name="Random.java")):
+            bindings, diagnostics = get_all_variables_types(unit)
+            expected, expected_diagnostics = oracle_bindings(unit)
+            assert list(bindings.items()) == list(expected.items())
+            assert diagnostics == expected_diagnostics
+
+
+def test_bindings_match_the_whole_block_walk_on_the_testbed(tmp_path):
+    gen_testbed(tmp_path)
+    sources = sorted(tmp_path.glob("*.java"))
+    assert sources
+    for path in sources:
+        tree = parse_source(path.read_text(encoding="utf-8"), file_name=path.name)
+        bindings, diagnostics = get_all_variables_types(tree)
+        assert diagnostics == []
+        assert list(bindings.items()) == list(oracle_bindings(tree)[0].items())
+
+
+# A hand-edited tree that no source parses to.  In ``m`` one declaration is
+# wrapped in an expression statement and one sits in a block inside a block;
+# ``n`` has a second Block child.  A local is a declaration statement of the
+# method's first block, the one extraction reads, so none of these binds a
+# name, repeats ``x`` as a duplicate or yields a call: ``f(x, y)`` gets two
+# unresolved arguments in ``m`` and only ``x`` resolves in ``n``.
+NESTED_DECLARATIONS_ASLT = """CompilationUnit file="H.java"
+  ClassDeclaration name="H"
+    MethodDeclaration name="m"
+      TypeReference name="void"
+      Block
+        ASLTJavaExpressionStatement
+          ASLTJavaVariableDeclaration
+            TypeReference name="B"
+            ASLTJavaVariableDeclarator name="x"
+              NewObjectExpression
+                TypeReference name="B"
+                ArgumentList
+        Block
+          Block
+            ASLTJavaVariableDeclaration
+              TypeReference name="C"
+              ASLTJavaVariableDeclarator name="y"
+                ASLTJavaMethodInvokeExpression name="make"
+                  ArgumentList
+        ASLTJavaExpressionStatement
+          ASLTJavaMethodInvokeExpression name="f"
+            ArgumentList
+              ASLTJavaIdentifierExpression name="x"
+              ASLTJavaIdentifierExpression name="y"
+    MethodDeclaration name="n"
+      TypeReference name="void"
+      Block
+        ASLTJavaVariableDeclaration
+          TypeReference name="B"
+          ASLTJavaVariableDeclarator name="x"
+        ASLTJavaExpressionStatement
+          ASLTJavaMethodInvokeExpression name="f"
+            ArgumentList
+              ASLTJavaIdentifierExpression name="x"
+              ASLTJavaIdentifierExpression name="y"
+      Block
+        ASLTJavaVariableDeclaration
+          TypeReference name="C"
+          ASLTJavaVariableDeclarator name="x"
+        ASLTJavaVariableDeclaration
+          TypeReference name="C"
+          ASLTJavaVariableDeclarator name="y"
+        ASLTJavaExpressionStatement
+          ASLTJavaMethodInvokeExpression name="g"
+            ArgumentList
+"""
+
+
+def test_declarations_nested_below_a_statement_are_neither_bound_nor_extracted():
+    tree = read_aslt(NESTED_DECLARATIONS_ASLT, file_name="H.aslt")
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert bindings == {(0, 1, "x"): VariableBinding("x", TypeName("B"), Scope("H", "n", 1, 0))}
+    assert diagnostics == []
+    calls = get_all_method_calls(tree, bindings, {})
+    assert [(c.caller_method, c.invoked_name, c.argument_types) for c in calls] == [
+        ("m", "f", (UNRESOLVED, UNRESOLVED)),
+        ("n", "f", (TypeName("B"), UNRESOLVED)),
+    ]
+
+
+def _type_reference(name, dims=None):
+    attributes = {"name": name} if dims is None else {"name": name, "dims": dims}
+    return aslt.AsltNode(aslt.TYPE_REFERENCE, attributes)
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [("String", None), ("String", "01"), ("Object", "2"), ("int", "0"), ("a.B", "3")],
+)
+def test_equal_spellings_share_one_type_name(name, dims):
+    first = analysis.source_type_name(_type_reference(name, dims))
+    again = analysis.source_type_name(_type_reference(name, dims))
+    assert first is again
+    assert first == TypeName(analysis.canonical_name(name), int(dims or "0"))
+
+
+def test_string_spellings_share_the_literal_type():
+    string = analysis.source_type_name(_type_reference("String"))
+    assert string == STRING
+    assert string is analysis.source_type_name(_type_reference("java.lang.String"))
+    assert string is resolve_argument_type(_literal('"s"', "string"), {}, {}, Scope("A"))
+
+
+@pytest.mark.parametrize("dims", ["x", "", "1.5"])
+def test_a_malformed_dims_raises_on_every_call(dims):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            analysis.source_type_name(_type_reference("int", dims))
+
+
 # ---------------------------------------------------------------------------
 # Argument resolution
 # ---------------------------------------------------------------------------
@@ -346,9 +465,12 @@ def test_statement_position_is_unconstrained():
     assert call.expected_return is UNCONSTRAINED
 
 
-def test_bare_call_targets_enclosing_class():
-    calls = _calls_for("class A { void m() { run(); } }", [])
-    assert calls[0].receiver_class == TypeName("A")
+# A class's own name is not an implicit import: a bare call in a class
+# named String targets that class, not java.lang.String.
+@pytest.mark.parametrize("name", ["A", "String"])
+def test_bare_call_targets_enclosing_class(name):
+    calls = _calls_for(f"class {name} {{ void m() {{ run(); }} }}", [])
+    assert calls[0].receiver_class == TypeName(name)
 
 
 def test_static_receiver_names_known_class():
