@@ -103,25 +103,16 @@ class Scope:
         return self.class_name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Location:
+    """Where a call starts; read-only by convention, never assigned once built."""
+
     file: str
     line: int
     column: int
 
-    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
-    def __init__(self, file: str, line: int, column: int):
-        _set_location_file(self, file)
-        _set_location_line(self, line)
-        _set_location_column(self, column)
-
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
-
-
-_set_location_file = Location.__dict__["file"].__set__
-_set_location_line = Location.__dict__["line"].__set__
-_set_location_column = Location.__dict__["column"].__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +132,12 @@ ClassIndex = dict[str, ClassInfo]
 _Pending = tuple[AsltNode, Scope, TypeName | Unconstrained]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CallSite:
-    """One method invocation with everything the comparison needs."""
+    """One method invocation with everything the comparison needs.
+
+    Read-only by convention: no field is assigned once built.
+    """
 
     caller_class: str
     caller_method: str | None
@@ -153,36 +147,8 @@ class CallSite:
     expected_return: TypeName | Unconstrained
     location: Location
 
-    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
-    def __init__(
-        self,
-        caller_class: str,
-        caller_method: str | None,
-        receiver_class: TypeName | Unresolved,
-        invoked_name: str,
-        argument_types: tuple[TypeName | Unresolved, ...],
-        expected_return: TypeName | Unconstrained,
-        location: Location,
-    ):
-        _set_call_caller_class(self, caller_class)
-        _set_call_caller_method(self, caller_method)
-        _set_call_receiver_class(self, receiver_class)
-        _set_call_invoked_name(self, invoked_name)
-        _set_call_argument_types(self, argument_types)
-        _set_call_expected_return(self, expected_return)
-        _set_call_location(self, location)
-
     def __str__(self) -> str:
         return f"{self.receiver_class}.{self.invoked_name}"
-
-
-_set_call_caller_class = CallSite.__dict__["caller_class"].__set__
-_set_call_caller_method = CallSite.__dict__["caller_method"].__set__
-_set_call_receiver_class = CallSite.__dict__["receiver_class"].__set__
-_set_call_invoked_name = CallSite.__dict__["invoked_name"].__set__
-_set_call_argument_types = CallSite.__dict__["argument_types"].__set__
-_set_call_expected_return = CallSite.__dict__["expected_return"].__set__
-_set_call_location = CallSite.__dict__["location"].__set__
 
 
 class MismatchKind(Enum):
@@ -194,13 +160,14 @@ class MismatchKind(Enum):
     UNRESOLVED_ARGUMENT = "UnresolvedArgument"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MismatchReport:
     """One incompatibility between a call and the called component.
 
     The expected side comes from the compiled class file, the given side
     from the caller's tree.  Fields that cannot exist for UnknownClass or
-    UnknownMethod reports are ``None`` (rendered "n/a").
+    UnknownMethod reports are ``None`` (rendered "n/a").  Read-only by
+    convention: no field is assigned once built.
     """
 
     kind: MismatchKind

@@ -134,38 +134,26 @@ class AsltFormatError(AsltError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
+    """Where a node came from; read-only by convention, never assigned once built."""
+
     file: str
     start_line: int
     start_column: int
     end_line: int
     end_column: int
 
-    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
-    def __init__(
-        self, file: str, start_line: int, start_column: int, end_line: int, end_column: int
-    ):
-        _set_span_file(self, file)
-        _set_span_start_line(self, start_line)
-        _set_span_start_column(self, start_column)
-        _set_span_end_line(self, end_line)
-        _set_span_end_column(self, end_column)
 
-
-_set_span_file = Span.__dict__["file"].__set__
-_set_span_start_line = Span.__dict__["start_line"].__set__
-_set_span_start_column = Span.__dict__["start_column"].__set__
-_set_span_end_line = Span.__dict__["end_line"].__set__
-_set_span_end_column = Span.__dict__["end_column"].__set__
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AsltNode:
     """One tree node: a kind, string attributes, and owned children.
 
     Spans are provenance and excluded from equality, so structural
-    comparison is "modulo spans" by construction.
+    comparison is "modulo spans" by construction.  Unhashable, since the
+    attributes dict takes part in equality.  Read-only by convention: only
+    :func:`read_aslt` assigns a field after construction, the ``children``
+    of a node it still holds open.
     """
 
     kind: str
@@ -173,7 +161,6 @@ class AsltNode:
     children: tuple["AsltNode", ...] = ()
     span: Span | None = field(default=None, compare=False)
 
-    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
     def __init__(
         self,
         kind: str,
@@ -183,22 +170,16 @@ class AsltNode:
     ):
         if kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {kind!r}")
-        _set_node_kind(self, kind)
-        _set_node_attributes(self, {} if attributes is None else attributes)
-        _set_node_children(self, children)
-        _set_node_span(self, span)
+        self.kind = kind
+        self.attributes = {} if attributes is None else attributes
+        self.children = children
+        self.span = span
 
     def first(self, kind: str) -> "AsltNode | None":
         for child in self.children:
             if child.kind == kind:
                 return child
         return None
-
-
-_set_node_kind = AsltNode.__dict__["kind"].__set__
-_set_node_attributes = AsltNode.__dict__["attributes"].__set__
-_set_node_children = AsltNode.__dict__["children"].__set__
-_set_node_span = AsltNode.__dict__["span"].__set__
 
 
 def iter_nodes(tree: AsltNode) -> Iterator[AsltNode]:
@@ -219,29 +200,18 @@ END_OF_INPUT = "end-of-input"
 _PUNCTUATION = frozenset(";,(){}[].")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
+    """One lexeme and where it starts; read-only by convention, never assigned once built."""
+
     category: str
     lexeme: str
     line: int
     column: int
 
-    # Slot setters: a generated frozen __init__ costs an object.__setattr__ per field.
-    def __init__(self, category: str, lexeme: str, line: int, column: int):
-        _set_token_category(self, category)
-        _set_token_lexeme(self, lexeme)
-        _set_token_line(self, line)
-        _set_token_column(self, column)
-
     @property
     def end_column(self) -> int:
         return self.column + len(self.lexeme)
-
-
-_set_token_category = Token.__dict__["category"].__set__
-_set_token_lexeme = Token.__dict__["lexeme"].__set__
-_set_token_line = Token.__dict__["line"].__set__
-_set_token_column = Token.__dict__["column"].__set__
 
 
 def tokenize(source: str) -> list[Token]:
@@ -416,17 +386,17 @@ class _Parser:
     ) -> AsltNode:
         """A node spanning from ``start`` to the end of the last token taken.
 
-        Built in place, as :func:`read_aslt` builds its nodes: the parser
-        passes only this module's kind constants, so the constructor's kind
-        check is skipped.
+        Made with ``object.__new__`` and plain attribute stores, as
+        :func:`read_aslt` makes its nodes: the parser passes only this
+        module's kind constants, so the constructor's kind check is skipped.
         """
         last = self.tokens[self.pos - 1]
         node = object.__new__(AsltNode)
-        _set_node_kind(node, kind)
-        _set_node_attributes(node, attributes)
-        _set_node_children(node, children)
+        node.kind = kind
+        node.attributes = attributes
+        node.children = children
         end_column = last.column + len(last.lexeme)
-        _set_node_span(node, Span(self.file_name, start.line, start.column, last.line, end_column))
+        node.span = Span(self.file_name, start.line, start.column, last.line, end_column)
         return node
 
     # --- grammar ---
@@ -946,6 +916,11 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     line that repeats it reuses its depth, its kind and a copy of its
     attributes, so every node still owns its dict.  A line that fails is
     never stored, so each error keeps its own line number and message.
+
+    Nodes are made with ``object.__new__`` and plain attribute stores:
+    :func:`_parse_aslt_line` has already checked each kind, so the
+    constructor's check is skipped.  A node's ``children`` are stored when
+    it closes.
     """
     seen: dict[str, tuple[int, str, dict[str, str]] | None] = {}
     # The nodes still open, outermost first (the one at index i is at depth
@@ -989,17 +964,11 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
             fault = line_number, message
             continue
         while len(nodes) > depth:
-            _set_node_children(nodes.pop(), tuple(children.pop()))
-        span = new(Span)
-        _set_span_file(span, file_name)
-        _set_span_start_line(span, line_number)
-        _set_span_start_column(span, 1)
-        _set_span_end_line(span, line_number)
-        _set_span_end_column(span, len(raw) + 1)
+            nodes.pop().children = tuple(children.pop())
         node = new(AsltNode)
-        _set_node_kind(node, kind)
-        _set_node_attributes(node, attributes)
-        _set_node_span(node, span)
+        node.kind = kind
+        node.attributes = attributes
+        node.span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
         if depth:
             children[-1].append(node)
         nodes.append(node)
@@ -1010,7 +979,7 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
         raise AsltFormatError(1, "no nodes")
     while nodes:
         root = nodes.pop()
-        _set_node_children(root, tuple(children.pop()))
+        root.children = tuple(children.pop())
     return root
 
 

@@ -10,6 +10,7 @@ from compatcheck.analysis import (
     CallSite,
     Location,
     MismatchKind,
+    MismatchReport,
     Scope,
     Unresolved,
     VariableBinding,
@@ -848,12 +849,45 @@ def test_call_records_build_alike_positionally_and_by_keyword():
     )
     assert str(call) == "B.f"
     assert str(location) == "A.java:3:7"
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        location.line = 4
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        call.invoked_name = "g"
     assert not hasattr(call, "__dict__")
     assert not hasattr(location, "__dict__")
+
+    report = MismatchReport(
+        MismatchKind.PARAM_TYPE_MISMATCH,
+        "A",
+        "B.class",
+        "f",
+        (STRING,),
+        (INT,),
+        VOID,
+        UNCONSTRAINED,
+        location,
+    )
+    report_by_keyword = MismatchReport(
+        kind=MismatchKind.PARAM_TYPE_MISMATCH,
+        aslt_class_name="A",
+        called_class_file="B.class",
+        called_method="f",
+        expected_parameters=(STRING,),
+        given_parameters=(INT,),
+        expected_return=VOID,
+        given_return=UNCONSTRAINED,
+        location=Location("A.java", 3, 7),
+    )
+    assert report == report_by_keyword
+    assert hash(report) == hash(report_by_keyword)
+    assert len({report, report_by_keyword}) == 1
+    elsewhere = dataclasses.replace(report, location=moved.location)
+    assert elsewhere.location == Location("A.java", 4, 7) and elsewhere != report
+    assert dataclasses.replace(elsewhere, location=location) == report
+    assert repr(report) == (
+        "MismatchReport(kind=<MismatchKind.PARAM_TYPE_MISMATCH: 'ParamTypeMismatch'>, "
+        "aslt_class_name='A', called_class_file='B.class', called_method='f', "
+        "expected_parameters=(TypeName(name='java.lang.String', dims=0),), "
+        "given_parameters=(TypeName(name='int', dims=0),), "
+        "expected_return=TypeName(name='void', dims=0), given_return=Unconstrained(), "
+        "location=" + repr(location) + ")"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from compatcheck import aslt, cli
+from compatcheck.analysis import UNCONSTRAINED, CallSite, Location, MismatchKind, MismatchReport
 from compatcheck.aslt import (
     AsltFormatError,
     AsltNode,
@@ -19,6 +20,7 @@ from compatcheck.aslt import (
     tokenize,
     write_aslt,
 )
+from compatcheck.classfile import TypeName
 
 from oracles import oracle_read_aslt
 from randgen import random_program_tree, random_serial_tree
@@ -784,14 +786,25 @@ def test_token_dataclass_shape():
 # Records
 # ---------------------------------------------------------------------------
 
-def test_records_are_slotted_and_frozen():
+def test_records_are_slotted():
     span = Span("A.java", 1, 1, 1, 2)
-    node = AsltNode(aslt.BLOCK, {}, (), span)
-    token = Token("identifier", "x", 1, 1)
-    for record, field_name in ((span, "file"), (node, "kind"), (token, "lexeme")):
+    location = Location("A.java", 1, 1)
+    call = CallSite("A", "m", TypeName("B"), "f", (), UNCONSTRAINED, location)
+    report = MismatchReport(
+        MismatchKind.UNKNOWN_CLASS, "A", None, "f", None, None, None, None, location
+    )
+    records = (
+        span,
+        AsltNode(aslt.BLOCK, {}, (), span),
+        Token("identifier", "x", 1, 1),
+        location,
+        call,
+        report,
+    )
+    for record in records:
         assert not hasattr(record, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, field_name, "y")
+        with pytest.raises(AttributeError):
+            record.undeclared = "y"
 
 
 def test_node_equality_ignores_span():
