@@ -153,7 +153,10 @@ class AsltNode:
     comparison is "modulo spans" by construction.  Unhashable, since the
     attributes dict takes part in equality.  Read-only by convention: only
     :func:`read_aslt` assigns a field after construction, the ``children``
-    of a node it still holds open.
+    of a node it still holds open.  The attributes dict is read-only too:
+    the nodes of one tree that have equal attributes may hold the same dict,
+    so an edited copy is made with ``dataclasses.replace(node,
+    attributes={**node.attributes, ...})``.
     """
 
     kind: str
@@ -334,6 +337,25 @@ def tokenize(source: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _SharedAttributes(dict):
+    """One parse's attribute dicts, one per distinct spelling.
+
+    A key is a name, for ``{"name": name}``; a ``(name, dims)`` pair, for an
+    array type; or a ``(lexeme, category)`` pair, for a literal.  Dims are
+    ints and categories strings, so no two kinds of key collide.
+    """
+
+    def __missing__(self, key: str | tuple[str, int] | tuple[str, str]) -> dict[str, str]:
+        if isinstance(key, str):
+            attributes = {"name": key}
+        elif isinstance(key[1], int):
+            attributes = {"name": key[0], "dims": str(key[1])}
+        else:
+            attributes = {"value": key[0], "category": key[1]}
+        self[key] = attributes
+        return attributes
+
+
 class _Parser:
     """Recursive descent over the token list, one method per grammar rule.
 
@@ -345,12 +367,19 @@ class _Parser:
     The position never passes end-of-input, so a token that is not the last
     one always has a successor, and the grammar reads it without a bounds
     check.
+
+    Nodes with equal attributes share one dict, taken from ``shared`` (or
+    ``empty``, for the kinds with no attributes); only the unit, a class
+    and a static method get a dict of their own.  Both live as long as the
+    parser, so no two parses share a dict.
     """
 
     def __init__(self, tokens: list[Token], file_name: str):
         self.tokens = tokens
         self.pos = 0
         self.file_name = file_name
+        self.shared = _SharedAttributes()
+        self.empty: dict[str, str] = {}
 
     # --- token plumbing ---
 
@@ -386,6 +415,7 @@ class _Parser:
     ) -> AsltNode:
         """A node spanning from ``start`` to the end of the last token taken.
 
+        The node holds ``attributes`` itself, the same dict, not a copy.
         Made with ``object.__new__`` and plain attribute stores, as
         :func:`read_aslt` makes its nodes: the parser passes only this
         module's kind constants, so the constructor's kind check is skipped.
@@ -416,7 +446,7 @@ class _Parser:
         start = self.expect("package")
         name = self.qualified_name()
         self.expect(";")
-        return self.node(PACKAGE_DECLARATION, {"name": name}, (), start)
+        return self.node(PACKAGE_DECLARATION, self.shared[name], (), start)
 
     def qualified_name(self) -> str:
         name = self.identifier().lexeme
@@ -457,12 +487,10 @@ class _Parser:
         if self.take("="):
             initializer = (self.expression(3),)
         self.expect(";")
-        return self.node(FIELD_DECLARATION, {"name": name}, (declared,) + initializer, start)
+        return self.node(FIELD_DECLARATION, self.shared[name], (declared,) + initializer, start)
 
     def method_rest(self, start: Token, static: bool, declared: AsltNode, name: str) -> AsltNode:
-        attributes = {"name": name}
-        if static:
-            attributes["static"] = "true"
+        attributes = {"name": name, "static": "true"} if static else self.shared[name]
         self.pos += 1  # '(', seen by member()
         parameters: list[AsltNode] = []
         if not self.take(")"):
@@ -479,7 +507,7 @@ class _Parser:
         declared = self.type_reference()
         self.reject_void(declared, start)
         name = self.identifier().lexeme
-        return self.node(PARAMETER_DECLARATION, {"name": name}, (declared,), start)
+        return self.node(PARAMETER_DECLARATION, self.shared[name], (declared,), start)
 
     def reject_void(self, declared: AsltNode, start: Token) -> None:
         if declared.attributes["name"] == "void":
@@ -510,9 +538,7 @@ class _Parser:
             raise ParseError(
                 f"array type with more than {MAX_ARRAY_DIMS} dimensions", start.line, start.column
             )
-        attributes = {"name": base}
-        if dims:
-            attributes["dims"] = str(dims)
+        attributes = self.shared[base, dims] if dims else self.shared[base]
         return self.node(TYPE_REFERENCE, attributes, (), start)
 
     def block(self) -> AsltNode:
@@ -520,7 +546,7 @@ class _Parser:
         statements: list[AsltNode] = []
         while not self.take("}"):
             statements.append(self.statement())
-        return self.node(BLOCK, {}, tuple(statements), start)
+        return self.node(BLOCK, self.empty, tuple(statements), start)
 
     def statement(self) -> AsltNode:
         start = self.tokens[self.pos]
@@ -537,7 +563,7 @@ class _Parser:
             self.fail({"statement"})
         expression = self.expression(5)
         self.expect(";")
-        return self.node(EXPRESSION_STATEMENT, {}, (expression,), start)
+        return self.node(EXPRESSION_STATEMENT, self.empty, (expression,), start)
 
     def declaration_follows(self) -> bool:
         """Whether the tokens from the current one, an identifier, begin
@@ -557,24 +583,24 @@ class _Parser:
         while self.take(","):
             declarators.append(self.declarator())
         self.expect(";")
-        return self.node(VARIABLE_DECLARATION, {}, (declared, *declarators), start)
+        return self.node(VARIABLE_DECLARATION, self.empty, (declared, *declarators), start)
 
     def declarator(self) -> AsltNode:
         start = self.identifier()
         initializer: tuple[AsltNode, ...] = ()
         if self.take("="):
             initializer = (self.expression(6),)
-        return self.node(VARIABLE_DECLARATOR, {"name": start.lexeme}, initializer, start)
+        return self.node(VARIABLE_DECLARATOR, self.shared[start.lexeme], initializer, start)
 
     def assignment_statement(self) -> AsltNode:
         start = self.tokens[self.pos]
         self.pos += 1  # the identifier, then '=', both seen by statement()
-        target = self.node(IDENTIFIER_EXPRESSION, {"name": start.lexeme}, (), start)
+        target = self.node(IDENTIFIER_EXPRESSION, self.shared[start.lexeme], (), start)
         self.pos += 1
         value = self.expression(6)
-        assignment = self.node(SIMPLE_ASSIGNMENT_EXPRESSION, {}, (target, value), start)
+        assignment = self.node(SIMPLE_ASSIGNMENT_EXPRESSION, self.empty, (target, value), start)
         self.expect(";")
-        return self.node(EXPRESSION_STATEMENT, {}, (assignment,), start)
+        return self.node(EXPRESSION_STATEMENT, self.empty, (assignment,), start)
 
     def return_statement(self) -> AsltNode:
         start = self.tokens[self.pos]
@@ -583,7 +609,7 @@ class _Parser:
         if self.tokens[self.pos].lexeme != ";":
             value = (self.expression(5),)
         self.expect(";")
-        return self.node(RETURN_STATEMENT, {}, value, start)
+        return self.node(RETURN_STATEMENT, self.empty, value, start)
 
     def expression(self, depth: int) -> AsltNode:
         """An expression whose node sits ``depth`` levels below the root.
@@ -601,7 +627,7 @@ class _Parser:
             if following == "(":
                 return self.invocation(depth, None, token)
             self.pos = pos + 1
-            name = self.node(IDENTIFIER_EXPRESSION, {"name": token.lexeme}, (), token)
+            name = self.node(IDENTIFIER_EXPRESSION, self.shared[token.lexeme], (), token)
             if (
                 following == "."
                 and tokens[pos + 2].category == "identifier"
@@ -612,7 +638,7 @@ class _Parser:
             return name
         if category in LITERAL_CATEGORIES:
             self.pos = pos + 1
-            attributes = {"value": token.lexeme, "category": LITERAL_CATEGORIES[category]}
+            attributes = self.shared[token.lexeme, LITERAL_CATEGORIES[category]]
             return self.node(LITERAL_TAG, attributes, (), token)
         if token.lexeme == "new":
             return self.new_expression(depth)
@@ -624,7 +650,7 @@ class _Parser:
         self.pos += 1
         arguments = self.argument_list(depth + 1)
         children = (receiver, arguments) if receiver is not None else (arguments,)
-        return self.node(METHOD_INVOKE_EXPRESSION, {"name": name}, children, start)
+        return self.node(METHOD_INVOKE_EXPRESSION, self.shared[name], children, start)
 
     def new_expression(self, depth: int) -> AsltNode:
         start = self.tokens[self.pos]
@@ -635,7 +661,7 @@ class _Parser:
                 "object creation needs a plain class type", start.line, start.column
             )
         arguments = self.argument_list(depth + 1)
-        return self.node(NEW_OBJECT_EXPRESSION, {}, (declared, arguments), start)
+        return self.node(NEW_OBJECT_EXPRESSION, self.empty, (declared, arguments), start)
 
     def argument_list(self, depth: int) -> AsltNode:
         if depth > MAX_DEPTH:
@@ -647,7 +673,7 @@ class _Parser:
             while self.take(","):
                 arguments.append(self.expression(depth + 1))
             self.expect(")")
-        return self.node(ARGUMENT_LIST, {}, tuple(arguments), start)
+        return self.node(ARGUMENT_LIST, self.empty, tuple(arguments), start)
 
 
 def parse_source(source: str, file_name: str = "") -> AsltNode:
@@ -913,9 +939,10 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     down is reported ahead of it; only the first such fault is kept.
 
     Each distinct raw line, indentation included, is read once per call: a
-    line that repeats it reuses its depth, its kind and a copy of its
-    attributes, so every node still owns its dict.  A line that fails is
-    never stored, so each error keeps its own line number and message.
+    line that repeats it reuses its depth, its kind and the same attributes
+    dict, so the nodes of those lines share one dict, which no other call
+    hands out.  A line that fails is never stored, so each error keeps its
+    own line number and message.
 
     Nodes are made with ``object.__new__`` and plain attribute stores:
     :func:`_parse_aslt_line` has already checked each kind, so the
@@ -951,7 +978,6 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
             continue  # a blank line
         else:
             depth, kind, attributes = known
-            attributes = attributes.copy()
         if fault is not None:
             continue
         if depth > len(nodes) or (depth == 0 and nodes):

@@ -259,6 +259,59 @@ def test_parse_rejects_static_field():
         parse_source("class A { static int x; }")
 
 
+SHARING_SOURCE = """class A extends B {
+    Widget w;
+    int[][] grid;
+
+    static int twice(int a) {
+        Widget.make(1, 'c');
+        run(1, "s");
+        return a;
+    }
+
+    void a() {
+    }
+}
+"""
+
+
+def test_parse_shares_one_attribute_dict_per_spelling():
+    tree = parse_source(SHARING_SOURCE, file_name="A.java")
+    (unit_class,) = tree.children
+    field_w, field_grid, twice, method_a = unit_class.children
+    returned, parameter, body = twice.children
+    make_call, run_call, return_statement = body.children
+    receiver, make_arguments = make_call.children[0].children
+    (run_arguments,) = run_call.children[0].children
+    # Two int type references share one dict.
+    assert returned.attributes is parameter.children[0].attributes == {"name": "int"}
+    # A type and an identifier spelled alike share one {"name": ...} dict, and
+    # so do every other node whose only attribute is that name.
+    assert field_w.children[0].attributes is receiver.attributes == {"name": "Widget"}
+    assert parameter.attributes is method_a.attributes is return_statement.children[0].attributes
+    # Attribute-less kinds share the parse's one empty dict.
+    assert make_arguments.attributes is run_arguments.attributes is body.attributes == {}
+    assert make_call.attributes is return_statement.attributes
+    # Equal literals share one dict; dims, literals and a static method keep their content.
+    assert make_arguments.children[0].attributes is run_arguments.children[0].attributes
+    assert make_arguments.children[0].attributes == {"value": "1", "category": "integer"}
+    assert make_arguments.children[1].attributes == {"value": "'c'", "category": "char"}
+    assert run_arguments.children[1].attributes == {"value": '"s"', "category": "string"}
+    assert field_grid.children[0].attributes == {"name": "int", "dims": "2"}
+    assert twice.attributes == {"name": "twice", "static": "true"}
+    assert unit_class.attributes == {"name": "A", "extends": "B"}
+    assert parse_source(print_source(tree), file_name="A.java") == tree
+    assert write_aslt(tree) == write_aslt(parse_source(SHARING_SOURCE, file_name="A.java"))
+
+
+def test_two_parses_share_no_attribute_dict():
+    first = parse_source(SHARING_SOURCE, file_name="A.java")
+    second = parse_source(SHARING_SOURCE, file_name="A.java")
+    assert first == second
+    first_dicts = {id(node.attributes) for node in iter_nodes(first)}
+    assert not first_dicts & {id(node.attributes) for node in iter_nodes(second)}
+
+
 def test_span_sanity_children_inside_parents():
     tree = parse_source(SAMPLE_CALLER, file_name="S.java")
 
@@ -499,23 +552,26 @@ def test_read_error_carries_line_number():
     assert exc.value.line_number == 2
 
 
-def test_repeated_lines_give_equal_nodes_with_their_own_attributes():
+def test_repeated_lines_give_equal_nodes_that_share_their_attributes():
     body = 'ClassDeclaration name="A"'
-    tree = read_aslt(f"CompilationUnit\n  {body}\n  {body}\n    {body}\n", file_name="T.aslt")
+    text = f"CompilationUnit\n  {body}\n  {body}\n    {body}\n"
+    tree = read_aslt(text, file_name="T.aslt")
     first, second = tree.children
     nested = second.children[0]
     assert first == nested == AsltNode(aslt.CLASS_DECLARATION, {"name": "A"})
-    assert len({id(first.attributes), id(second.attributes), id(nested.attributes)}) == 3
-    first.attributes["name"] = "B"
-    assert second.attributes == nested.attributes == {"name": "A"}
+    # A repeated raw line shares its dict; the deeper line is a line of its own.
+    assert first.attributes is second.attributes
+    assert nested.attributes is not first.attributes
     assert [n.span for n in (first, second, nested)] == [
         Span("T.aslt", 2, 1, 2, 28),
         Span("T.aslt", 3, 1, 3, 28),
         Span("T.aslt", 4, 1, 4, 30),
     ]
-    # Changing a node's attributes does not change a later read.
-    again = read_aslt(f"CompilationUnit\n  {body}\n  {body}\n    {body}\n", file_name="T.aslt")
-    assert again.children[0].attributes == {"name": "A"}
+    # A second read of the same text gets dicts of its own.
+    again = read_aslt(text, file_name="T.aslt")
+    assert again == tree
+    first_dicts = {id(node.attributes) for node in iter_nodes(tree)}
+    assert not first_dicts & {id(node.attributes) for node in iter_nodes(again)}
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,8 @@ from compatcheck.cli import (
 )
 from compatcheck.config import ProjectConfig, load_config_file
 
+from randgen import random_class_info, random_program_tree
+
 
 @pytest.fixture
 def testbed(tmp_path):
@@ -560,6 +562,49 @@ def test_json_rendering_is_the_standard_indented_encoding(testbed):
     text = render_json(dataclasses.replace(empty, diagnostics=[]))
     assert '"errors": [],' in text and '"diagnostics": []' in text
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _random_project(root, seed):
+    """The testbed, three random callers and two random components they may call."""
+    rng = random.Random(seed)
+    gen_testbed(root)
+    for name in ("Widget", "Box"):
+        info = dataclasses.replace(
+            random_class_info(rng), qualified_name=name, source_file_name=f"{name}.class"
+        )
+        (root / f"{name}.class").write_bytes(emit_classfile(info))
+    for index in range(3):
+        tree = random_program_tree(rng, file_name=f"Random{index}.java")
+        (root / f"Random{index}.java").write_text(aslt.print_source(tree), encoding="utf-8")
+
+
+@pytest.mark.parametrize("project", ["pristine", "faulted", "aslt_only", "random"])
+def test_a_run_changes_no_tree_it_loaded(tmp_path, project):
+    # The nodes of one tree share attribute dicts, so a write anywhere in
+    # binding, extraction, comparison or rendering would show here.
+    projects = [tmp_path / "testbed"]
+    if project == "random":
+        projects = [tmp_path / f"random{seed}" for seed in range(3)]
+        for seed, root in enumerate(projects):
+            _random_project(root, seed)
+    else:
+        gen_testbed(projects[0])
+        if project != "pristine":
+            inject_fault(projects[0])
+    for root in projects:
+        if project == "aslt_only":
+            run_analysis(_config_for(root))
+            for path in root.glob("*.java"):
+                path.unlink()
+        for widening in (False, True):
+            run = run_analysis(_config_for(root, debug_level=2), widening=widening)
+            assert run.aslt_trees
+            show_all_errors(run)
+            render_json(run)
+            for name, tree in run.aslt_trees.items():
+                text = (root / name).read_text(encoding="utf-8")
+                load = aslt.parse_source if name.endswith(".java") else aslt.read_aslt
+                assert tree == load(text, file_name=name), name
 
 
 # ---------------------------------------------------------------------------
