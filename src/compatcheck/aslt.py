@@ -164,19 +164,9 @@ class AsltNode:
     children: tuple["AsltNode", ...] = ()
     span: Span | None = field(default=None, compare=False)
 
-    def __init__(
-        self,
-        kind: str,
-        attributes: dict[str, str] | None = None,
-        children: tuple["AsltNode", ...] = (),
-        span: Span | None = None,
-    ):
-        if kind not in NODE_KINDS:
-            raise ValueError(f"unknown node kind {kind!r}")
-        self.kind = kind
-        self.attributes = {} if attributes is None else attributes
-        self.children = children
-        self.span = span
+    def __post_init__(self):
+        if self.kind not in NODE_KINDS:
+            raise ValueError(f"unknown node kind {self.kind!r}")
 
     def first(self, kind: str) -> "AsltNode | None":
         for child in self.children:
@@ -696,13 +686,29 @@ def _shape_error(node: AsltNode, why: str) -> MalformedTreeError:
     return MalformedTreeError(f"{node.kind}: {why}")
 
 
+def _array_dims(node: AsltNode) -> int:
+    """The ``dims`` of a type reference, 0 when absent; ValueError, with the
+    reason, unless it is at most ``MAX_ARRAY_DIMS`` in at most three digits."""
+    dims = node.attributes.get("dims", "0")
+    if not (dims.isascii() and dims.isdigit()):
+        raise ValueError(f"dims must be a non-negative integer, not {dims!r}")
+    # The length test comes first: int() refuses very long digit strings.
+    if len(dims) > len(str(MAX_ARRAY_DIMS)) or int(dims) > MAX_ARRAY_DIMS:
+        raise ValueError(f"dims must be at most {MAX_ARRAY_DIMS}, in at most three digits")
+    return int(dims)
+
+
 def _type_source(node: AsltNode) -> str:
     if node.kind != TYPE_REFERENCE:
         raise _shape_error(node, "expected a TypeReference")
     name = node.attributes.get("name")
     if not name:
         raise _shape_error(node, "type reference without a name")
-    return name + "[]" * int(node.attributes.get("dims", "0"))
+    try:
+        dims = _array_dims(node)
+    except ValueError as exc:
+        raise _shape_error(node, str(exc)) from None
+    return name + "[]" * dims
 
 
 def _expression_source(node: AsltNode) -> str:
@@ -1024,15 +1030,9 @@ def check_names(tree: AsltNode) -> None:
         if not name:
             raise AsltFormatError(line_number, f"a {node.kind} needs a non-empty name")
         if node.kind == TYPE_REFERENCE:
-            dims = node.attributes.get("dims", "0")
-            if not (dims.isascii() and dims.isdigit()):
-                raise AsltFormatError(
-                    line_number, f"dims must be a non-negative integer, not {dims!r}"
-                )
-            # The length test comes first: int() refuses very long digit strings.
-            if len(dims) > len(str(MAX_ARRAY_DIMS)) or int(dims) > MAX_ARRAY_DIMS:
-                raise AsltFormatError(
-                    line_number, f"dims must be at most {MAX_ARRAY_DIMS}, in at most three digits"
-                )
-            if name == "void" and int(dims):
+            try:
+                dims = _array_dims(node)
+            except ValueError as exc:
+                raise AsltFormatError(line_number, str(exc)) from None
+            if name == "void" and dims:
                 raise AsltFormatError(line_number, "void cannot be an array element type")

@@ -538,30 +538,34 @@ def scan_classfiles(
 ) -> tuple[list[ClassInfo], list[Diagnostic]]:
     """Recursively parse every file below ``directory`` with ``extension``.
 
-    Results are sorted by path; each ClassInfo carries its path relative to
-    ``directory`` (POSIX form) as ``source_file_name``.  Files that fail to
-    read or parse become diagnostics instead of aborting the scan.
+    The files are those :func:`walk_files` lists, in its sorted order; each
+    ClassInfo carries that relative POSIX path as ``source_file_name``.
+    Files that fail to read or parse become diagnostics instead of
+    aborting the scan.
     """
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"not a readable directory: {root}")
-    paths = sorted(
-        (path for path in walk_files(root) if path.name.endswith(extension)),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
     infos: list[ClassInfo] = []
     diagnostics: list[Diagnostic] = []
-    for path in paths:
-        relative = path.relative_to(root).as_posix()
-        try:
-            infos.append(parse_classfile(path.read_bytes(), source_file_name=relative))
-        except (OSError, ClassFileError) as exc:
-            diagnostics.append(Diagnostic(relative, str(exc)))
+    for relative in walk_files(root):
+        if relative.endswith(extension):
+            try:
+                infos.append(parse_classfile((root / relative).read_bytes(), source_file_name=relative))
+            except (OSError, ClassFileError) as exc:
+                diagnostics.append(Diagnostic(relative, str(exc)))
     return infos, diagnostics
 
 
-def walk_files(root: Path):
-    """Every file below ``root``, in ``os.walk`` order."""
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for name in filenames:
-            yield Path(dirpath) / name
+def walk_files(root: Path | str) -> list[str]:
+    """The sorted POSIX paths, relative to ``root``, of the names ``os.walk``
+    lists as files below it: never a directory, but any other symbolic link,
+    a dangling one included.  These paths name the files in diagnostics,
+    trees and reports."""
+    top = os.path.join(root, "")
+    files: list[str] = []
+    for dirpath, _dirnames, filenames in os.walk(top):
+        prefix = os.path.join(dirpath, "")[len(top):].replace(os.sep, "/")
+        files.extend(prefix + name for name in filenames)
+    files.sort()
+    return files

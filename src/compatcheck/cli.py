@@ -58,10 +58,10 @@ class AnalysisRun:
 def run_analysis(config: ProjectConfig, widening: bool = False) -> AnalysisRun:
     """Scan the project, convert sources, and run the comparison pipeline.
 
-    Source files without a sibling ``.aslt`` are converted and the ``.aslt``
-    written next to them.  When both a source file and its ``.aslt`` exist,
-    the source is parsed (so report locations always point at source and
-    repeated runs stay byte-identical).
+    Source files whose sibling ``.aslt`` the walk does not list are
+    converted and the ``.aslt`` written next to them.  When the walk lists
+    both a source file and its ``.aslt``, the source is parsed (so report
+    locations always point at source and repeated runs stay byte-identical).
 
     The cyclic garbage collector is paused for the call and then restored
     to its previous state.  Everything a run builds is acyclic, so
@@ -98,38 +98,32 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
     run.class_infos, class_diagnostics = analysis.get_class_infos(config)
     run.diagnostics.extend(class_diagnostics)
 
-    source_paths: list[Path] = []
-    aslt_paths: list[Path] = []
-    for path in sorted(walk_files(root), key=lambda p: p.relative_to(root).as_posix()):
-        if path.name.endswith(SOURCE_EXTENSION):
-            source_paths.append(path)
-        elif path.name.endswith(config.aslt_file_extension):
-            aslt_paths.append(path)
-
+    files = walk_files(root)
+    present = set(files)
     trees: dict[str, aslt.AsltNode] = {}
     parse_diagnostics: list[Diagnostic] = []
-    for path in source_paths:
-        relative = path.relative_to(root).as_posix()
+    for relative in files:
+        if not relative.endswith(SOURCE_EXTENSION):
+            continue
         try:
-            tree = aslt.parse_source(path.read_text(encoding="utf-8"), file_name=relative)
+            tree = aslt.parse_source((root / relative).read_text(encoding="utf-8"), file_name=relative)
         except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
             continue
         trees[relative] = tree
-        sibling = path.with_name(path.name[: -len(SOURCE_EXTENSION)] + config.aslt_file_extension)
-        if not sibling.exists():
+        sibling = relative[: -len(SOURCE_EXTENSION)] + config.aslt_file_extension
+        if sibling not in present:
             try:
-                sibling.write_text(aslt.write_aslt(tree), encoding="utf-8")
+                (root / sibling).write_text(aslt.write_aslt(tree), encoding="utf-8")
             except OSError as exc:
-                sibling_name = sibling.relative_to(root).as_posix()
-                parse_diagnostics.append(Diagnostic(sibling_name, f"cannot write: {exc}"))
-    for path in aslt_paths:
-        stem = path.name[: -len(config.aslt_file_extension)]
-        if path.with_name(stem + SOURCE_EXTENSION).exists():
-            continue  # the source was (or will be) analysed directly
-        relative = path.relative_to(root).as_posix()
+                parse_diagnostics.append(Diagnostic(sibling, f"cannot write: {exc}"))
+    for relative in files:
+        if not relative.endswith(config.aslt_file_extension):
+            continue
+        if relative[: -len(config.aslt_file_extension)] + SOURCE_EXTENSION in present:
+            continue  # the source is analysed instead
         try:
-            tree = aslt.read_aslt(path.read_text(encoding="utf-8"), file_name=relative)
+            tree = aslt.read_aslt((root / relative).read_text(encoding="utf-8"), file_name=relative)
             aslt.check_names(tree)
         except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))

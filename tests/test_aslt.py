@@ -797,6 +797,25 @@ def test_check_names_rejects_too_many_array_dimensions(dims):
     assert str(exc.value) == "line 4: dims must be at most 255, in at most three digits"
 
 
+# print_source applies the bound of check_names to a tree read from .aslt.
+@pytest.mark.parametrize(
+    "dims, reason",
+    [
+        ("x", "dims must be a non-negative integer, not 'x'"),
+        ("-1", "dims must be a non-negative integer, not '-1'"),
+        ("256", "dims must be at most 255, in at most three digits"),
+    ],
+)
+def test_print_source_rejects_the_dims_that_check_names_rejects(dims, reason):
+    tree = read_aslt(array_field(dims))
+    with pytest.raises(AsltFormatError) as checked:
+        aslt.check_names(tree)
+    with pytest.raises(MalformedTreeError) as printed:
+        print_source(tree)
+    assert str(checked.value) == f"line 4: {reason}"
+    assert str(printed.value) == f"TypeReference: {reason}"
+
+
 def test_parse_accepts_the_most_array_dimensions():
     dims = aslt.MAX_ARRAY_DIMS
     tree = parse_source(f"class A {{ int{'[]' * dims} a; }}")
@@ -888,6 +907,11 @@ def test_records_support_dataclasses_replace():
     assert renamed.children == node.children and renamed.span is span
     with pytest.raises(ValueError, match="unknown node kind 'Bogus'"):
         dataclasses.replace(node, kind="Bogus")
+
+
+def test_nodes_built_without_attributes_get_a_dict_each():
+    first, second = AsltNode(aslt.BLOCK), AsltNode(aslt.BLOCK)
+    assert first.attributes == {} and first.attributes is not second.attributes
 
 
 def test_records_keep_their_dataclass_repr_fields_and_hash():

@@ -242,6 +242,31 @@ def test_failed_sibling_write_is_a_diagnostic(testbed, monkeypatch):
     assert run.exit_code == 0
 
 
+# A name counts as present when the walk lists it among the files of its
+# directory, so a directory named like a sibling or a source is not one.
+def test_a_directory_where_the_sibling_would_go_is_a_write_diagnostic(testbed, capsys):
+    (testbed / "SampleClassA.aslt").mkdir()
+    assert main(["run", "--config", str(testbed / "constants.properties")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: SampleClassA.aslt: cannot write: ")
+    assert "Is a directory" in err and err.count("\n") == 1
+    assert (testbed / "SampleClassB.aslt").is_file() and (testbed / "TestBed.aslt").is_file()
+
+
+def test_a_directory_named_like_the_source_leaves_its_tree_to_be_read(testbed):
+    run_analysis(_config_for(testbed))
+    inject_fault(testbed)
+    (testbed / "SampleClassA.java").unlink()
+    (testbed / "SampleClassA.java").mkdir()
+    run = run_analysis(_config_for(testbed))
+    assert sorted(run.aslt_trees) == ["SampleClassA.aslt", "SampleClassB.java", "TestBed.java"]
+    assert run.diagnostics == []
+    assert [(r.kind, r.location.file) for r in run.reports] == [
+        (MismatchKind.PARAM_TYPE_MISMATCH, "SampleClassA.aslt")
+    ]
+    assert run.exit_code == 1
+
+
 BAD_TREE_SOURCE = "class Bad { int[] a; B b = new B(); void m() { b.f(a); } }"
 
 
