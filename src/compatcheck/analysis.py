@@ -125,8 +125,8 @@ class VariableBinding:
 # One unit's (class's position, method's position or None for fields, variable
 # name) -> binding.
 BindingIndex = dict[tuple[int, int | None, str], VariableBinding]
-# Qualified name -> class.
-ClassIndex = dict[str, ClassInfo]
+# Qualified name -> the class, and its overloads by method name in declaration order.
+ClassIndex = dict[str, tuple[ClassInfo, dict[str, list[MethodSignature]]]]
 # An expression whose calls are still to be extracted, with its scope and
 # expected return type.
 _Pending = tuple[AsltNode, Scope, TypeName | Unconstrained]
@@ -264,10 +264,16 @@ def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnost
 
 
 def index_classes(classes: Iterable[ClassInfo]) -> ClassIndex:
-    """Key every class by qualified name; the first class of a name stands."""
+    """The run's one class table: every class by qualified name, with its
+    methods grouped by name.  The first class of a name stands, and only its
+    methods are read."""
     index: ClassIndex = {}
     for info in classes:
-        index.setdefault(info.qualified_name, info)
+        if info.qualified_name not in index:
+            overloads: dict[str, list[MethodSignature]] = {}
+            for signature in info.methods:
+                overloads.setdefault(signature.name, []).append(signature)
+            index[info.qualified_name] = info, overloads
     return index
 
 
@@ -319,14 +325,11 @@ def resolve_argument_type(
         receiver = _resolve_receiver(arg, bindings, classes, scope)
         if isinstance(receiver, Unresolved) or receiver.dims:
             return UNRESOLVED
-        info = classes.get(receiver.name)
-        if info is None:
-            return UNRESOLVED
-        name = arg.attributes.get("name", "")
-        candidates = [m for m in info.methods if m.name == name]
+        entry = classes.get(receiver.name)
+        overloads = entry[1] if entry is not None else {}
+        candidates = overloads.get(arg.attributes.get("name", ""), ())
         if len(candidates) == 1:
             return candidates[0].return_type
-        return UNRESOLVED
     return UNRESOLVED
 
 
@@ -467,22 +470,18 @@ def _report(
 _Verdict = tuple[MismatchKind, ClassInfo | None, MethodSignature | None] | None
 
 
-def _verdict(
-    call: CallSite,
-    by_name: ClassIndex,
-    overloads: dict[str, dict[str, list[MethodSignature]]],
-    widening: bool,
-) -> _Verdict:
+def _verdict(call: CallSite, classes: ClassIndex, widening: bool) -> _Verdict:
     """Decide one call shape: everything of the call but its place and caller."""
     receiver = call.receiver_class
-    info = None
+    entry = None
     if isinstance(receiver, TypeName) and receiver.dims == 0:
-        info = by_name.get(receiver.name)
-    if info is None:
+        entry = classes.get(receiver.name)
+    if entry is None:
         if call.invoked_name == CONSTRUCTOR_NAME:
             return None  # partially available black-box component
         return MismatchKind.UNKNOWN_CLASS, None, None
-    candidates = overloads[info.qualified_name].get(call.invoked_name)
+    info, overloads = entry
+    candidates = overloads.get(call.invoked_name)
     if not candidates:
         return MismatchKind.UNKNOWN_METHOD, info, None
     if any(_matches(call, signature, widening) for signature in candidates):
@@ -506,9 +505,10 @@ def _verdict(
 
 
 def method_called(
-    calls: list[CallSite], classes: list[ClassInfo], widening: bool = False
+    calls: list[CallSite], classes: ClassIndex, widening: bool = False
 ) -> list[MismatchReport]:
-    """Compare every call against the classes' surfaces; collect all errors.
+    """Compare every call against the surfaces of the run's
+    :func:`index_classes` table; collect all errors.
 
     A call matching any overload yields no report.  Otherwise the nearest
     candidate (same arity preferred, then declaration order) is blamed and
@@ -517,19 +517,11 @@ def method_called(
     UnresolvedArgument.  Constructor calls on classes that are not present
     are allowed silently.  Reports are ordered by location.
 
-    Each class's methods are grouped by name once, overloads kept in
-    declaration order, and each distinct call shape (receiver, method name,
-    argument types, expected return) is decided once per call of this
-    function; every report still takes its location, caller and given types
-    from its own call.
+    Each distinct call shape (receiver, method name, argument types,
+    expected return) is decided once per call of this function; every
+    report still takes its location, caller and given types from its own
+    call.
     """
-    by_name = index_classes(classes)
-    overloads: dict[str, dict[str, list[MethodSignature]]] = {}
-    for qualified_name, info in by_name.items():
-        by_method: dict[str, list[MethodSignature]] = {}
-        for signature in info.methods:
-            by_method.setdefault(signature.name, []).append(signature)
-        overloads[qualified_name] = by_method
     verdicts: dict[tuple, _Verdict] = {}
     reports: list[MismatchReport] = []
     for call in calls:
@@ -537,7 +529,7 @@ def method_called(
         try:
             verdict = verdicts[shape]
         except KeyError:
-            verdict = verdicts[shape] = _verdict(call, by_name, overloads, widening)
+            verdict = verdicts[shape] = _verdict(call, classes, widening)
         if verdict is not None:
             reports.append(_report(call, *verdict))
 

@@ -13,6 +13,7 @@ projects can be built without an external compiler.  ``parse_classfile`` and
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,9 @@ EMIT_MAJOR_VERSION = 52
 ACC_PUBLIC = 0x0001
 ACC_STATIC = 0x0008
 ACC_SUPER = 0x0020
+# Methods a compiler generates, which no source names (JVMS §4.6).
+ACC_BRIDGE = 0x0040
+ACC_SYNTHETIC = 0x1000
 
 CONSTRUCTOR_NAME = "<init>"
 
@@ -60,6 +64,12 @@ _TAG_FIELDREF = 9
 _TAG_METHODREF = 10
 _TAG_INTERFACE_METHODREF = 11
 _TAG_NAME_AND_TYPE = 12
+# Tags 15-20 (method handles, dynamic constants, modules) are read past by
+# their fixed payload sizes; no surface refers to them.
+_SKIPPED_TAG_SIZES = {15: 3, 16: 2, 17: 4, 18: 4, 19: 2, 20: 2}
+# The pool's own mark for a Utf8 entry that holds an unpaired surrogate: legal
+# in a string constant, but no name or descriptor can be printed from it.
+_TAG_UTF8_UNPAIRED = -1
 
 
 class ClassFileError(Exception):
@@ -295,10 +305,9 @@ def _read_constant_pool(reader: _Reader) -> dict[int, tuple[int, object]]:
             length = reader.u2()
             raw = reader.take(length)
             try:
-                value: object = raw.decode("utf-8")
+                pool[index] = (tag, raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                raise ClassFileError(f"constant #{index}: invalid utf-8 ({exc.reason})") from None
-            pool[index] = (tag, value)
+                pool[index] = _decode_modified_utf8(raw, index, exc)
         elif tag in (_TAG_INTEGER, _TAG_FLOAT):
             pool[index] = (tag, reader.take(4))
         elif tag in (_TAG_LONG, _TAG_DOUBLE):
@@ -307,15 +316,34 @@ def _read_constant_pool(reader: _Reader) -> dict[int, tuple[int, object]]:
             pool[index] = (tag, reader.u2())
         elif tag in (_TAG_FIELDREF, _TAG_METHODREF, _TAG_INTERFACE_METHODREF, _TAG_NAME_AND_TYPE):
             pool[index] = (tag, (reader.u2(), reader.u2()))
+        elif tag in _SKIPPED_TAG_SIZES:
+            reader.take(_SKIPPED_TAG_SIZES[tag])
         else:
             raise PoolReferenceError(f"constant #{index}: unsupported tag {tag}")
         index += 2 if tag in (_TAG_LONG, _TAG_DOUBLE) else 1
     return pool
 
 
+def _decode_modified_utf8(raw: bytes, index: int, error: UnicodeDecodeError) -> tuple[int, object]:
+    """The pool entry of a Utf8 constant in the modified UTF-8 of JVMS §4.4.7,
+    which writes NUL as ``C0 80`` and a supplementary character as its two
+    surrogates.  ``error`` is the plain decode's failure, reported when the
+    bytes are malformed either way."""
+    try:
+        units = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        raise ClassFileError(f"constant #{index}: invalid utf-8 ({error.reason})") from None
+    try:
+        return _TAG_UTF8, units.encode("utf-16-le", "surrogatepass").decode("utf-16-le")
+    except UnicodeDecodeError:
+        return _TAG_UTF8_UNPAIRED, None
+
+
 def _pool_utf8(pool: dict[int, tuple[int, object]], index: int) -> str:
     entry = pool.get(index)
     if entry is None or entry[0] != _TAG_UTF8:
+        if entry is not None and entry[0] == _TAG_UTF8_UNPAIRED:
+            raise ClassFileError(f"constant #{index}: unpaired surrogate in a name")
         raise PoolReferenceError(f"constant #{index}: expected a Utf8 entry")
     return entry[1]  # type: ignore[return-value]
 
@@ -339,9 +367,10 @@ def _skip_attributes(reader: _Reader) -> None:
 def parse_classfile(data: bytes, source_file_name: str = "") -> ClassInfo:
     """Decode class-file bytes into the surface they expose.
 
-    Accepts the supported subset (constant-pool tags 1 and 3-12, any major
-    version >= 45, attributes skipped).  Any malformed input raises a
-    :class:`ClassFileError` subclass; this function never crashes on
+    Accepts constant-pool tags 1, 3-12 and 15-20, modified UTF-8 strings and
+    any major version >= 45; attributes are skipped, and so are bridge and
+    synthetic methods, which no source declares.  Any malformed input raises
+    a :class:`ClassFileError` subclass; this function never crashes on
     arbitrary byte strings.
     """
     reader = _Reader(data)
@@ -369,18 +398,19 @@ def parse_classfile(data: bytes, source_file_name: str = "") -> ClassInfo:
         fields.append(FieldMember(name, _parse_field_descriptor(descriptor), bool(flags & ACC_STATIC)))
 
     methods: list[MethodSignature] = []
-    seen: set[tuple[str, tuple[TypeName, ...]]] = set()
+    seen: set[tuple[str, str]] = set()
     for _ in range(reader.u2()):
         flags = reader.u2()
         name = _pool_utf8(pool, reader.u2())
         descriptor = _pool_utf8(pool, reader.u2())
         _skip_attributes(reader)
         parameter_types, return_type = parse_descriptor(descriptor)
-        key = (name, parameter_types)
+        key = (name, descriptor)
         if key in seen:
             raise ClassFileError(f"duplicate method {name}{descriptor}")
         seen.add(key)
-        methods.append(MethodSignature(name, parameter_types, return_type, bool(flags & ACC_STATIC)))
+        if not flags & (ACC_BRIDGE | ACC_SYNTHETIC):
+            methods.append(MethodSignature(name, parameter_types, return_type, bool(flags & ACC_STATIC)))
 
     _skip_attributes(reader)
     if reader.pos != len(data):
@@ -540,8 +570,8 @@ def scan_classfiles(
 
     The files are those :func:`walk_files` lists, in its sorted order; each
     ClassInfo carries that relative POSIX path as ``source_file_name``.
-    Files that fail to read or parse become diagnostics instead of
-    aborting the scan.
+    Files that fail to read or parse, and files that are not regular files,
+    become diagnostics instead of aborting or blocking the scan.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -551,7 +581,7 @@ def scan_classfiles(
     for relative in walk_files(root):
         if relative.endswith(extension):
             try:
-                infos.append(parse_classfile((root / relative).read_bytes(), source_file_name=relative))
+                infos.append(parse_classfile(read_regular_file(root / relative), source_file_name=relative))
             except (OSError, ClassFileError) as exc:
                 diagnostics.append(Diagnostic(relative, str(exc)))
     return infos, diagnostics
@@ -569,3 +599,25 @@ def walk_files(root: Path | str) -> list[str]:
         files.extend(prefix + name for name in filenames)
     files.sort()
     return files
+
+
+# Open without waiting for a writer (POSIX) and without newline translation
+# (Windows).
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def read_regular_file(path: Path | str, encoding: str | None = None) -> bytes | str:
+    """The bytes of the file at ``path``, or its text in universal-newline mode
+    when ``encoding`` is given.  The file is opened without waiting for a
+    writer and checked through its open descriptor, so a named pipe, device or
+    directory raises ``OSError("not a regular file")`` instead of blocking."""
+    descriptor = os.open(path, _READ_FLAGS)
+    try:
+        if not stat.S_ISREG(os.fstat(descriptor).st_mode):
+            raise OSError("not a regular file")
+        file = open(descriptor, "rb" if encoding is None else "r", encoding=encoding)
+    except BaseException:
+        os.close(descriptor)
+        raise
+    with file:
+        return file.read()

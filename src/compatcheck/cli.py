@@ -24,6 +24,7 @@ from .classfile import (
     FieldMember,
     MethodSignature,
     emit_classfile,
+    read_regular_file,
     walk_files,
 )
 from .config import (
@@ -106,7 +107,7 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         if not relative.endswith(SOURCE_EXTENSION):
             continue
         try:
-            tree = aslt.parse_source((root / relative).read_text(encoding="utf-8"), file_name=relative)
+            tree = aslt.parse_source(read_regular_file(root / relative, "utf-8"), file_name=relative)
         except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
             continue
@@ -123,7 +124,7 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         if relative[: -len(config.aslt_file_extension)] + SOURCE_EXTENSION in present:
             continue  # the source is analysed instead
         try:
-            tree = aslt.read_aslt((root / relative).read_text(encoding="utf-8"), file_name=relative)
+            tree = aslt.read_aslt(read_regular_file(root / relative, "utf-8"), file_name=relative)
             aslt.check_names(tree)
         except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
             parse_diagnostics.append(Diagnostic(relative, str(exc)))
@@ -147,7 +148,7 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         bindings, binding_diagnostics = analysis.get_all_variables_types(tree)
         run.diagnostics.extend(binding_diagnostics)
         run.call_sites.extend(analysis.get_all_method_calls(tree, bindings, class_index))
-    run.reports = analysis.method_called(run.call_sites, run.class_infos, widening=widening)
+    run.reports = analysis.method_called(run.call_sites, class_index, widening=widening)
 
     if unrecoverable:
         run.exit_code = EXIT_PARSE

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from compatcheck import aslt, cli
-from compatcheck.analysis import MismatchKind, method_called
+from compatcheck.analysis import MismatchKind, index_classes, method_called
 from compatcheck.classfile import ClassFileError, emit_classfile, parse_classfile
 from compatcheck.cli import gen_testbed, main, run_analysis
 from compatcheck.config import KNOWN_KEYS, load_config, parse_properties
@@ -219,7 +219,7 @@ def test_criterion_7_oracle_equivalence(testbed):
         assert len(run.class_infos) <= 10
         for widening in (False, True):
             assert method_called(
-                run.call_sites, run.class_infos, widening=widening
+                run.call_sites, index_classes(run.class_infos), widening=widening
             ) == oracle_reports(run.call_sites, run.class_infos, widening)
 
     rng = random.Random(0x0AC1E)
@@ -228,9 +228,9 @@ def test_criterion_7_oracle_equivalence(testbed):
         calls = oracle_calls(rng, classes)
         assert len(classes) <= 10
         for widening in (False, True):
-            assert method_called(calls, classes, widening=widening) == oracle_reports(
-                calls, classes, widening
-            )
+            assert method_called(
+                calls, index_classes(classes), widening=widening
+            ) == oracle_reports(calls, classes, widening)
 
 
 @criterion(8, "permuted discovery order leaves text and JSON output byte-identical")

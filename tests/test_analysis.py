@@ -183,7 +183,7 @@ def test_overloads_bind_their_own_parameters():
         ("B.takeInt", (INT,)),
         ("B.takeStr", (STRING,)),
     ]
-    assert method_called(calls, [TAKER]) == []
+    assert method_called(calls, index_classes([TAKER])) == []
 
 
 def test_overloads_of_different_arity_reuse_local_names():
@@ -207,7 +207,7 @@ def test_overloads_of_different_arity_reuse_local_names():
         ("m", "B.takeStr", (STRING,)),
         ("m", "B.takeInt", (INT,)),
     ]
-    assert method_called(calls, [TAKER]) == []
+    assert method_called(calls, index_classes([TAKER])) == []
 
 
 def test_duplicate_in_one_overload_is_reported_once():
@@ -514,7 +514,7 @@ def test_nested_calls_in_source_order():
 
 def test_string_vs_int_parameter_mismatch_report():
     calls = _calls_for(SAMPLE_CALLER_SOURCE, [CLASS_B_FAULTY])
-    reports = method_called(calls, [CLASS_B_FAULTY])
+    reports = method_called(calls, index_classes([CLASS_B_FAULTY]))
     assert len(reports) == 1
     report = reports[0]
     assert report.kind is MismatchKind.PARAM_TYPE_MISMATCH
@@ -543,7 +543,7 @@ def test_compatible_cross_calls_produce_no_reports():
         source_file_name="SampleClassC.class",
     )
     calls = _calls_for(source, [CLASS_B_OK, class_c])
-    assert method_called(calls, [CLASS_B_OK, class_c]) == []
+    assert method_called(calls, index_classes([CLASS_B_OK, class_c])) == []
 
 
 def _call(receiver, name, args=(), expected=UNCONSTRAINED, line=1):
@@ -567,7 +567,7 @@ def test_unknown_class_for_unresolved_and_absent_receivers():
             _call(TypeName("SampleClassB", 1), "f", line=3),  # array receiver
             _call(INT, "f", line=4),  # primitive receiver
         ],
-        classes,
+        index_classes(classes),
     )
     assert [r.kind for r in reports] == [MismatchKind.UNKNOWN_CLASS] * 4
     assert all(r.called_class_file is None for r in reports)
@@ -575,17 +575,17 @@ def test_unknown_class_for_unresolved_and_absent_receivers():
 
 
 def test_unknown_method():
-    reports = method_called([_call(TypeName("SampleClassB"), "nope")], [CLASS_B_OK])
+    reports = method_called([_call(TypeName("SampleClassB"), "nope")], index_classes([CLASS_B_OK]))
     assert [r.kind for r in reports] == [MismatchKind.UNKNOWN_METHOD]
     assert reports[0].called_class_file == "SampleClassB.class"
 
 
 def test_arity_and_return_mismatches():
     info = ClassInfo("B", methods=(MethodSignature("f", (INT,), INT),))
-    arity = method_called([_call(TypeName("B"), "f", (INT, INT))], [info])
+    arity = method_called([_call(TypeName("B"), "f", (INT, INT))], index_classes([info]))
     assert [r.kind for r in arity] == [MismatchKind.ARITY_MISMATCH]
     returns = method_called(
-        [_call(TypeName("B"), "f", (INT,), expected=TypeName("long"))], [info]
+        [_call(TypeName("B"), "f", (INT,), expected=TypeName("long"))], index_classes([info])
     )
     assert [r.kind for r in returns] == [MismatchKind.RETURN_TYPE_MISMATCH]
     assert returns[0].expected_return == INT
@@ -594,7 +594,7 @@ def test_arity_and_return_mismatches():
 
 def test_unresolved_argument_reported():
     info = ClassInfo("B", methods=(MethodSignature("f", (INT,), VOID),))
-    reports = method_called([_call(TypeName("B"), "f", (UNRESOLVED,))], [info])
+    reports = method_called([_call(TypeName("B"), "f", (UNRESOLVED,))], index_classes([info]))
     assert [r.kind for r in reports] == [MismatchKind.UNRESOLVED_ARGUMENT]
 
 
@@ -606,18 +606,19 @@ def test_matching_any_overload_suppresses_report():
             MethodSignature("f", (STRING,), VOID),
         ),
     )
-    ok = method_called([_call(TypeName("B"), "f", (STRING,))], [info])
+    ok = method_called([_call(TypeName("B"), "f", (STRING,))], index_classes([info]))
     assert ok == []
-    bad = method_called([_call(TypeName("B"), "f", (TypeName("char"),))], [info])
+    bad = method_called([_call(TypeName("B"), "f", (TypeName("char"),))], index_classes([info]))
     assert [r.kind for r in bad] == [MismatchKind.PARAM_TYPE_MISMATCH]
     # nearest candidate has the same arity; first in declaration order
     assert bad[0].expected_parameters == (INT,)
 
 
 def test_constructor_checked_only_when_class_present():
-    silent = method_called([_call(TypeName("Ghost"), "<init>", (INT,))], [CLASS_B_OK])
+    classes = index_classes([CLASS_B_OK])
+    silent = method_called([_call(TypeName("Ghost"), "<init>", (INT,))], classes)
     assert silent == []
-    checked = method_called([_call(TypeName("SampleClassB"), "<init>", (INT,))], [CLASS_B_OK])
+    checked = method_called([_call(TypeName("SampleClassB"), "<init>", (INT,))], classes)
     assert [r.kind for r in checked] == [MismatchKind.ARITY_MISMATCH]
 
 
@@ -638,8 +639,8 @@ def test_widening_brute_force_over_primitive_pairs():
         for target_name in primitives:
             info = ClassInfo("B", methods=(MethodSignature("f", (TypeName(target_name),), VOID),))
             call = _call(TypeName("B"), "f", (TypeName(source_name),))
-            strict = method_called([call], [info], widening=False)
-            widened = method_called([call], [info], widening=True)
+            strict = method_called([call], index_classes([info]), widening=False)
+            widened = method_called([call], index_classes([info]), widening=True)
             assert (strict == []) == (source_name == target_name)
             expect_ok = source_name == target_name or target_name in chains[source_name]
             assert (widened == []) == expect_ok
@@ -650,11 +651,12 @@ def test_widening_reports_are_subset_of_strict():
     for _ in range(100):
         classes = oracle_classes(rng)
         calls = oracle_calls(rng, classes)
+        table = index_classes(classes)
         strict_keys = {
-            (r.location, r.called_method) for r in method_called(calls, classes, widening=False)
+            (r.location, r.called_method) for r in method_called(calls, table, widening=False)
         }
         widened_keys = {
-            (r.location, r.called_method) for r in method_called(calls, classes, widening=True)
+            (r.location, r.called_method) for r in method_called(calls, table, widening=True)
         }
         assert widened_keys <= strict_keys
 
@@ -666,8 +668,8 @@ def test_reports_sorted_by_location_and_input_order_irrelevant():
         _call(TypeName("B"), "f", (STRING,), line=2),
         _call(TypeName("Ghost"), "g", line=5),
     ]
-    forward = method_called(calls, [info])
-    backward = method_called(list(reversed(calls)), [info])
+    forward = method_called(calls, index_classes([info]))
+    backward = method_called(list(reversed(calls)), index_classes([info]))
     assert [r.location.line for r in forward] == [2, 5, 9]
     assert forward == backward
 
@@ -676,7 +678,7 @@ def test_duplicate_class_names_first_wins():
     first = ClassInfo("B", methods=(MethodSignature("f", (), VOID),))
     second = ClassInfo("B", methods=())
     calls = [_call(TypeName("B"), "f", ())]
-    assert method_called(calls, [first, second]) == []
+    assert method_called(calls, index_classes([first, second])) == []
 
 
 def test_oracle_equivalence_random_projects():
@@ -685,9 +687,9 @@ def test_oracle_equivalence_random_projects():
         classes = oracle_classes(rng)
         calls = oracle_calls(rng, classes)
         for widening in (False, True):
-            assert method_called(calls, classes, widening=widening) == oracle_reports(
-                calls, classes, widening
-            )
+            assert method_called(
+                calls, index_classes(classes), widening=widening
+            ) == oracle_reports(calls, classes, widening)
 
 
 def _shapes_repeated(rng, calls, copies):
@@ -719,7 +721,7 @@ def test_repeated_call_shapes_are_decided_alike_at_every_site():
         by_line = {call.location.line: call for call in calls}
         known = {info.qualified_name for info in classes}
         for widening in (False, True):
-            reports = method_called(calls, classes, widening=widening)
+            reports = method_called(calls, index_classes(classes), widening=widening)
             assert reports == oracle_reports(calls, classes, widening)
             for report in reports:
                 call = by_line[report.location.line]
@@ -790,7 +792,7 @@ def test_each_class_is_scanned_at_most_once_per_comparison():
     for widening in (False, True):
         for methods in (first_b, second_b, c_methods):
             methods.scans = 0
-        reports = method_called(calls, classes, widening=widening)
+        reports = method_called(calls, index_classes(classes), widening=widening)
         assert all(methods.scans <= 1 for methods in (first_b, second_b, c_methods))
         assert reports == oracle_reports(calls, classes, widening)
         unknown = {r.called_method for r in reports if r.kind is MismatchKind.UNKNOWN_METHOD}
@@ -808,6 +810,41 @@ def test_each_class_is_scanned_at_most_once_per_comparison():
             MismatchKind.ARITY_MISMATCH,
         ]
 
+
+
+def test_one_class_table_serves_extraction_and_comparison():
+    """Nested calls resolve through the run's table, so neither extraction nor
+    comparison reads a class's methods again once it is indexed."""
+    methods = _CountedMethods(
+        (
+            MethodSignature("<init>", (), VOID),
+            MethodSignature("f", (INT, INT), INT),
+            MethodSignature("h", (), INT),
+            MethodSignature("k", (), STRING),
+            MethodSignature("k", (INT,), STRING),
+        )
+    )
+    shadowed = _CountedMethods((MethodSignature("h", (), STRING),))
+    source = """class A {
+    void m(int p) {
+        B b = new B();
+        int r = b.f(b.h(), b.f(b.h(), p));
+        b.f(b.k(), B.h());
+    }
+}
+"""
+    tree = parse_source(source, file_name="A.java")
+    bindings, _ = get_all_variables_types(tree)
+    table = index_classes([ClassInfo("B", methods=methods), ClassInfo("B", methods=shadowed)])
+    calls = get_all_method_calls(tree, bindings, table)
+    reports = method_called(calls, table)
+    assert (methods.scans, shadowed.scans) == (1, 0)
+    assert [c.argument_types for c in calls if c.invoked_name == "f"] == [
+        (INT, INT),
+        (INT, INT),
+        (UNRESOLVED, INT),  # k has two overloads
+    ]
+    assert [(r.kind, r.location.line) for r in reports] == [(MismatchKind.UNRESOLVED_ARGUMENT, 5)]
 
 def test_call_records_build_alike_positionally_and_by_keyword():
     location = Location("A.java", 3, 7)
@@ -990,7 +1027,8 @@ def test_index_lookups_equal_the_list_scan_oracle():
         class_index = index_classes(classes)
         seen["repeated class"] += len(classes) - len(class_index)
         for name in LOOKUP_CLASSES + ("p.A", "Z"):
-            assert class_index.get(name) is oracle_find_class(classes, name)
+            info, _overloads = class_index.get(name, (None, None))
+            assert info is oracle_find_class(classes, name)
     assert all(seen.values()), seen
 
 

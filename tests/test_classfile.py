@@ -17,6 +17,7 @@ from compatcheck.classfile import (
     format_descriptor,
     parse_classfile,
     parse_descriptor,
+    read_regular_file,
     scan_classfiles,
 )
 
@@ -276,6 +277,96 @@ def test_emit_rejects_slash_in_name():
 
 
 # ---------------------------------------------------------------------------
+# Class files the emitter never writes
+# ---------------------------------------------------------------------------
+
+def _u2(value):
+    return value.to_bytes(2, "big")
+
+
+def _utf8(raw):
+    return b"\x01" + _u2(len(raw)) + raw
+
+
+def _class_file(pool, methods=()):
+    """Class ``T`` with ``pool`` after its own entries #1 (Utf8 "T") and #2
+    (its Class), and ``methods`` as (flags, name index, descriptor index)."""
+    out = b"\xca\xfe\xba\xbe" + _u2(0) + _u2(61) + _u2(3 + len(pool))
+    out += _utf8(b"T") + b"\x07" + _u2(1) + b"".join(pool)
+    out += _u2(0x21) + _u2(2) + _u2(0) + _u2(0) + _u2(0)  # flags, this, super, interfaces, fields
+    out += _u2(len(methods)) + b"".join(_u2(f) + _u2(n) + _u2(d) + _u2(0) for f, n, d in methods)
+    return out + _u2(0)
+
+
+def test_pool_tags_15_to_20_are_read_past():
+    pool = [
+        b"\x0f\x06" + _u2(2),  # #3 MethodHandle
+        b"\x10" + _u2(10),  # #4 MethodType
+        b"\x11" + _u2(0) + _u2(10),  # #5 Dynamic
+        b"\x12" + _u2(0) + _u2(10),  # #6 InvokeDynamic
+        b"\x13" + _u2(1),  # #7 Module
+        b"\x14" + _u2(1),  # #8 Package
+        _utf8(b"m"),  # #9
+        _utf8(b"()V"),  # #10
+    ]
+    info = parse_classfile(_class_file(pool, [(0x0001, 9, 10)]))
+    assert info == ClassInfo("T", methods=(MethodSignature("m"),))
+    with pytest.raises(ClassFileError, match="constant #3: expected a Utf8 entry"):
+        parse_classfile(_class_file(pool, [(0x0001, 3, 10)]))
+    for tag in (2, 13, 14, 21):
+        with pytest.raises(ClassFileError, match=f"constant #3: unsupported tag {tag}$"):
+            parse_classfile(_class_file([bytes([tag]) + _u2(1)]))
+
+
+def test_modified_utf8_decodes_nul_and_surrogate_pairs():
+    pool = [
+        _utf8(b"smile\xed\xa0\xbd\xed\xb8\x80"),  # #3: U+1F600 as two surrogates
+        _utf8(b"n\xc0\x80"),  # #4: NUL as C0 80
+        _utf8(b"\xed\xa0\x80"),  # #5: an unpaired surrogate, legal in a string constant
+        _utf8(b"()V"),  # #6
+    ]
+    info = parse_classfile(_class_file(pool, [(0x0001, 3, 6), (0x0001, 4, 6)]))
+    assert [m.name for m in info.methods] == ["smile\U0001F600", "n\x00"]
+    with pytest.raises(ClassFileError, match="constant #5: unpaired surrogate in a name"):
+        parse_classfile(_class_file(pool, [(0x0001, 5, 6)]))
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (b"\xff", "invalid start byte"),
+        (b"\xc0\x81", "invalid start byte"),
+        (b"a\xed\xa0", "invalid continuation byte"),
+        (b"\xe2\x82", "unexpected end of data"),
+    ],
+)
+def test_malformed_utf8_keeps_the_plain_decode_message(raw, reason):
+    with pytest.raises(ClassFileError) as caught:
+        parse_classfile(_class_file([_utf8(raw)]))
+    assert str(caught.value) == f"constant #3: invalid utf-8 ({reason})"
+
+
+def test_bridge_and_synthetic_methods_are_not_surface():
+    pool = [
+        _utf8(b"get"),  # #3
+        _utf8(b"()Ljava/lang/String;"),  # #4
+        _utf8(b"()Ljava/lang/Object;"),  # #5
+        _utf8(b"lambda$m$0"),  # #6
+        _utf8(b"()V"),  # #7
+    ]
+    bridge, private_static_synthetic = 0x1041, 0x100A
+    info = parse_classfile(
+        _class_file(pool, [(0x0001, 3, 4), (bridge, 3, 5), (private_static_synthetic, 6, 7)])
+    )
+    assert info.methods == (MethodSignature("get", (), TypeName("java.lang.String")),)
+    # Two methods may share a name and parameters; only name plus descriptor is unique.
+    both = parse_classfile(_class_file(pool, [(0x0001, 3, 4), (0x0001, 3, 5)]))
+    assert [str(m.return_type) for m in both.methods] == ["java.lang.String", "java.lang.Object"]
+    with pytest.raises(ClassFileError, match=r"duplicate method get\(\)Ljava/lang/Object;"):
+        parse_classfile(_class_file(pool, [(0x0001, 3, 5), (bridge, 3, 5)]))
+
+
+# ---------------------------------------------------------------------------
 # scan_classfiles
 # ---------------------------------------------------------------------------
 
@@ -337,3 +428,24 @@ def test_scan_turns_too_many_array_dimensions_into_a_diagnostic(tmp_path):
 def test_scan_missing_directory_raises(tmp_path):
     with pytest.raises(OSError):
         scan_classfiles(tmp_path / "nope", ".class")
+
+
+def test_read_regular_file_reads_as_path_reads_and_refuses_a_directory(tmp_path):
+    path = tmp_path / "A.java"
+    path.write_bytes(b"class A {\r\n}\r\n")
+    assert read_regular_file(path) == path.read_bytes()
+    assert read_regular_file(path, "utf-8") == path.read_text(encoding="utf-8") == "class A {\n}\n"
+    path.write_bytes(b"class \xff")
+    with pytest.raises(UnicodeDecodeError) as ours:
+        read_regular_file(path, "utf-8")
+    with pytest.raises(UnicodeDecodeError) as theirs:
+        path.read_text(encoding="utf-8")
+    assert str(ours.value) == str(theirs.value)
+    missing = tmp_path / "no" / "B.java"
+    with pytest.raises(OSError) as ours:
+        read_regular_file(missing, "utf-8")
+    with pytest.raises(OSError) as theirs:
+        missing.read_text(encoding="utf-8")
+    assert str(ours.value) == str(theirs.value)
+    with pytest.raises(OSError, match="^not a regular file$"):
+        read_regular_file(tmp_path)

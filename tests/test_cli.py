@@ -3,6 +3,8 @@ import gc
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +267,24 @@ def test_a_directory_named_like_the_source_leaves_its_tree_to_be_read(testbed):
         (MismatchKind.PARAM_TYPE_MISMATCH, "SampleClassA.aslt")
     ]
     assert run.exit_code == 1
+
+
+
+@pytest.mark.parametrize("name", ["Z.java", "Z.aslt", "Z.class"])
+def test_a_named_pipe_is_a_diagnostic_not_a_wait(testbed, name):
+    """Run in a child process, so that a read that blocks fails the test
+    at the timeout instead of hanging the suite."""
+    os.mkfifo(testbed / name)
+    script = "import sys; from compatcheck.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(testbed / "constants.properties")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+    )
+    assert (result.returncode, result.stderr) == (0, f"warning: {name}: not a regular file\n")
+    assert not (testbed / "Z.aslt").is_file()
 
 
 BAD_TREE_SOURCE = "class Bad { int[] a; B b = new B(); void m() { b.f(a); } }"

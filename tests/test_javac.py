@@ -14,16 +14,19 @@ when no ``javac`` is on the path.
 import re
 import shutil
 import subprocess
+import zipfile
 from pathlib import Path
 
 import pytest
 
 from compatcheck.classfile import (
     VOID,
+    ClassFileError,
     ClassInfo,
     FieldMember,
     MethodSignature,
     TypeName,
+    parse_classfile,
     scan_classfiles,
 )
 from compatcheck.cli import run_analysis
@@ -45,12 +48,18 @@ COMPONENTS = {
     "p/Q.java": "package p; public class Q { public int get() { return 0; } }",
     "TakeB.java": "class TakeB { int count; void takeInt(int a) { } void takeStr(String a) { } }",
     "StaticB.java": "class StaticB { int get() { return 0; } }",
+    # javac adds a bridge method "Object get()" for the generic supertype.
+    "S.java": 'class S implements java.util.function.Supplier<String> { public String get() { return ""; } }',
+    # The concatenation compiles to invokedynamic, with pool tags 15 and 18.
+    "K.java": 'class K { String label(int n) { return "n=" + n; } }',
+    # In modified UTF-8 the first constant is a surrogate pair, the second C0 80.
+    "E.java": 'class E { String smile() { return "\U0001F600"; } String nul() { return "\\0"; } }',
 }
 
 
-def _surface(name, *methods, superclass="java.lang.Object", fields=()):
+def _surface(name, *methods, superclass="java.lang.Object", interfaces=(), fields=()):
     """A component's expected surface: its methods after javac's implicit constructor."""
-    return ClassInfo(name, superclass, (), fields, (MethodSignature("<init>"), *methods))
+    return ClassInfo(name, superclass, interfaces, fields, (MethodSignature("<init>"), *methods))
 
 
 # The surface each component's class file must expose, by qualified name.
@@ -70,6 +79,11 @@ SURFACE = {
             fields=(FieldMember("count", INT),),
         ),
         _surface("StaticB", MethodSignature("get", (), INT)),
+        _surface(
+            "S", MethodSignature("get", (), STRING), interfaces=("java.util.function.Supplier",)
+        ),
+        _surface("K", MethodSignature("label", (INT,), STRING)),
+        _surface("E", MethodSignature("smile", (), STRING), MethodSignature("nul", (), STRING)),
     )
 }
 
@@ -119,6 +133,27 @@ COMPOSITIONS = {
         ["p/Q"],
         {"Qualified.java": "class Qualified { void m() { p.Q q = new p.Q(); int r = q.get(); } }"},
     ),
+    "generic-supertype": (
+        ["S"],
+        {"UseS.java": "class UseS { void m() { S s = new S(); String r = s.get(); } }"},
+    ),
+    "string-concatenation": (
+        ["K"],
+        {
+            "UseK.java": """class UseK {
+    void m() {
+        K k = new K();
+        String r = k.label(1);
+        k.label("one");
+    }
+}
+"""
+        },
+    ),
+    "supplementary-string": (
+        ["E"],
+        {"UseE.java": "class UseE { void m() { E e = new E(); String r = e.smile(); } }"},
+    ),
 }
 
 # Compositions where compatcheck disagrees with javac today.
@@ -149,7 +184,9 @@ def compiled(tmp_path_factory):
     for path, text in COMPONENTS.items():
         (root / "components" / path).parent.mkdir(parents=True, exist_ok=True)
         (root / "components" / path).write_text(text, encoding="utf-8")
-    result = _javac("-d", "classes", *(f"components/{path}" for path in COMPONENTS), cwd=root)
+    result = _javac(
+        "-encoding", "UTF-8", "-d", "classes", *(f"components/{path}" for path in COMPONENTS), cwd=root
+    )
     if result.returncode != 0:
         pytest.fail(f"javac rejected the components:\n{result.stderr}")
     shutil.rmtree(root / "components")
@@ -203,3 +240,22 @@ def test_class_files_written_by_javac_expose_the_declared_surface(compiled):
     assert diagnostics == []
     assert {info.qualified_name: info for info in infos} == SURFACE
     assert {info.qualified_name: info.source_file_name for info in infos}["p.Q"] == "p/Q.class"
+
+
+def test_a_sample_of_the_jdk_class_files_parses():
+    """Every 8th class file of the running JDK's java.base module in name
+    order, and its module descriptor, the one that holds pool tags 19 and 20."""
+    jmod = Path(shutil.which("javac")).resolve().parent.parent / "jmods" / "java.base.jmod"
+    if not jmod.is_file():
+        pytest.skip(f"{jmod} is absent")
+    failures = {}
+    with zipfile.ZipFile(jmod) as archive:  # a jmod is a zip after a 4-byte header
+        names = sorted(name for name in archive.namelist() if name.endswith(".class"))
+        sample = names[::8] + ["classes/module-info.class"]
+        for name in sample:
+            try:
+                parse_classfile(archive.read(name), source_file_name=name)
+            except ClassFileError as exc:
+                failures[name] = str(exc)
+    assert len(sample) > 100
+    assert failures == {}
