@@ -130,6 +130,8 @@ ClassIndex = dict[str, tuple[ClassInfo, dict[str, list[MethodSignature]]]]
 # An expression whose calls are still to be extracted, with its scope and
 # expected return type.
 _Pending = tuple[AsltNode, Scope, TypeName | Unconstrained]
+# The node kinds that are calls, and so the only ones that can hold one.
+_CALL_KINDS = (aslt.METHOD_INVOKE_EXPRESSION, aslt.NEW_OBJECT_EXPRESSION)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -363,21 +365,33 @@ def get_all_method_calls(
             roots.append((member.children[1], scope, _declared_type(member) or UNCONSTRAINED))
 
     # Preorder over the roots: a call comes before the calls in its arguments.
+    # Only the two node kinds that can hold a call are ever pushed.
     calls: list[CallSite] = []
-    stack = roots[::-1]
+    stack = [root for root in reversed(roots) if root[0].kind in _CALL_KINDS]
     while stack:
         node, scope, expected = stack.pop()
         if node.kind == aslt.METHOD_INVOKE_EXPRESSION:
             receiver = _resolve_receiver(node, bindings, classes, scope)
             invoked_name = node.attributes.get("name", "")
             arguments = node.children[-1].children if node.children else ()
-        elif node.kind == aslt.NEW_OBJECT_EXPRESSION and len(node.children) == 2:
+        elif len(node.children) == 2:  # a NewObjectExpression with its ArgumentList
             receiver = _declared_type(node) or UNRESOLVED
             invoked_name = CONSTRUCTOR_NAME
             arguments = node.children[1].children
             expected = UNCONSTRAINED
         else:
             continue
+        argument_types = []
+        nested = []
+        for argument in arguments:
+            if argument.kind == aslt.LITERAL_TAG:
+                argument_types.append(
+                    _LITERAL_TYPES.get(argument.attributes.get("category", ""), UNRESOLVED)
+                )
+                continue
+            argument_types.append(resolve_argument_type(argument, bindings, classes, scope))
+            if argument.kind in _CALL_KINDS:
+                nested.append((argument, scope, UNCONSTRAINED))
         span = node.span
         calls.append(
             CallSite(
@@ -385,15 +399,14 @@ def get_all_method_calls(
                 scope.method_name,
                 receiver,
                 invoked_name,
-                tuple([resolve_argument_type(a, bindings, classes, scope) for a in arguments]),
+                tuple(argument_types),
                 expected,
                 Location(span.file, span.start_line, span.start_column)
                 if span is not None
                 else Location("", 0, 0),
             )
         )
-        for argument in reversed(arguments):
-            stack.append((argument, scope, UNCONSTRAINED))
+        stack += nested[::-1]
     return calls
 
 

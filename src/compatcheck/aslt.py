@@ -1022,8 +1022,13 @@ def check_names(tree: AsltNode) -> None:
     trips; a tree read for analysis must pass this check as well.  The error
     gives the line of the offending node, taken from its span.
     """
-    for node in iter_nodes(tree):
-        if node.kind not in (CLASS_DECLARATION, TYPE_REFERENCE):
+    # Preorder with its own stack, as iter_nodes walks, without a generator.
+    named = (CLASS_DECLARATION, TYPE_REFERENCE)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        stack += node.children[::-1]
+        if node.kind not in named:
             continue
         line_number = node.span.start_line if node.span is not None else 0
         name = node.attributes.get("name", "")

@@ -113,11 +113,13 @@ class TypeName:
 
     ``name`` is a primitive name, ``"void"``, or a dotted reference name;
     ``dims`` counts array dimensions (0 for scalars).  Void never appears
-    as an array element.
+    as an array element.  The hash, ``hash((name, dims))``, is computed once
+    at construction, since call shapes are hashed by their types.
     """
 
     name: str
     dims: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -126,6 +128,15 @@ class TypeName:
             raise ValueError("array dimension count must be >= 0")
         if self.name == "void" and self.dims:
             raise ValueError("void cannot be an array element type")
+        object.__setattr__(self, "_hash", hash((self.name, self.dims)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # A copy or an unpickled value hashes anew: string hashes differ
+        # between processes.
+        return TypeName, (self.name, self.dims)
 
     def __str__(self) -> str:
         return self.name + "[]" * self.dims
@@ -458,12 +469,30 @@ class _PoolBuilder:
         for tag, payload in self.entries:
             out.append(tag)
             if tag == _TAG_UTF8:
-                raw = payload.encode("utf-8")  # type: ignore[union-attr]
+                if payload.isascii() and "\x00" not in payload:  # type: ignore[union-attr]
+                    raw = payload.encode("utf-8")  # type: ignore[union-attr]
+                else:
+                    raw = _encode_modified_utf8(payload)  # type: ignore[arg-type]
+                if len(raw) > 0xFFFF:
+                    raise InvalidClassInfoError(f"a name of {len(raw)} bytes is longer than 65535")
                 out += len(raw).to_bytes(2, "big")
                 out += raw
             else:
                 out += payload.to_bytes(2, "big")  # type: ignore[union-attr]
         return bytes(out)
+
+
+def _encode_modified_utf8(text: str) -> bytes:
+    """``text`` in the modified UTF-8 of JVMS §4.4.7, the inverse of
+    :func:`_decode_modified_utf8`: NUL is ``C0 80``, and a supplementary
+    character is its two UTF-16 surrogates, three bytes each."""
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        raise InvalidClassInfoError("unpaired surrogate in a name")
+    units = "".join(
+        c if c <= "\uffff" else chr(0xD7C0 + (ord(c) >> 10)) + chr(0xDC00 + (ord(c) & 0x3FF))
+        for c in text
+    )
+    return units.encode("utf-8", "surrogatepass").replace(b"\x00", b"\xc0\x80")
 
 
 def _check_reference_name(name: str, what: str) -> None:

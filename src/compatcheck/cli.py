@@ -448,12 +448,18 @@ def parse_cli(argv: Sequence[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _read_error(path: Path, exc: OSError) -> str:
+    """The error line for a file that could not be read.  An error that names
+    no file, as the refusal of a named pipe does, is given ``path``."""
+    return f"error: {exc}" if exc.filename is not None else f"error: {path}: {exc}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     try:
-        text = config_path.read_text(encoding="utf-8")
+        text = read_regular_file(config_path, "utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_read_error(config_path, exc), file=sys.stderr)
         return EXIT_CONFIG
     except UnicodeDecodeError as exc:
         print(f"error: {config_path}: {exc}", file=sys.stderr)
@@ -480,9 +486,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_aslt(args: argparse.Namespace) -> int:
     path = Path(args.source_file)
     try:
-        source = path.read_text(encoding="utf-8")
+        source = read_regular_file(path, "utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_read_error(path, exc), file=sys.stderr)
         return EXIT_CONFIG
     except UnicodeDecodeError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)

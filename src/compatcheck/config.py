@@ -12,6 +12,8 @@ from itertools import permutations
 from pathlib import Path
 from typing import Mapping
 
+from .classfile import read_regular_file
+
 # The suffix of a source file.  The tree and class-file suffixes are set by
 # the two extension keys.
 SOURCE_EXTENSION = ".java"
@@ -145,7 +147,8 @@ def render_properties(config: ProjectConfig) -> str:
 
 
 def load_config_file(path: Path | str) -> ProjectConfig:
-    """Read, parse and validate a properties file."""
+    """Read, parse and validate a properties file.  A named pipe or any other
+    file that is not regular raises ``OSError("not a regular file")``."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_regular_file(path, "utf-8")
     return load_config(parse_properties(text), base_dir=path.parent)

@@ -9,7 +9,10 @@ widening pairs, no shared helpers with the implementation.
 from __future__ import annotations
 
 from compatcheck.analysis import (
+    UNCONSTRAINED,
+    UNRESOLVED,
     CallSite,
+    Location,
     MismatchKind,
     MismatchReport,
     Scope,
@@ -20,10 +23,17 @@ from compatcheck.analysis import (
 from compatcheck.aslt import (
     BLOCK,
     CLASS_DECLARATION,
+    EXPRESSION_STATEMENT,
     FIELD_DECLARATION,
+    IDENTIFIER_EXPRESSION,
+    LITERAL_TAG,
     MAX_DEPTH,
     METHOD_DECLARATION,
+    METHOD_INVOKE_EXPRESSION,
+    NEW_OBJECT_EXPRESSION,
     PARAMETER_DECLARATION,
+    RETURN_STATEMENT,
+    SIMPLE_ASSIGNMENT_EXPRESSION,
     TYPE_REFERENCE,
     VARIABLE_DECLARATION,
     AsltFormatError,
@@ -265,6 +275,124 @@ def oracle_find_class(classes: list[ClassInfo], name: str) -> ClassInfo | None:
         if info.qualified_name == name:
             return info
     return None
+
+
+# The type of a literal, by its category.
+LITERAL_TYPE_NAMES = {
+    "string": "java.lang.String",
+    "integer": "int",
+    "floating": "double",
+    "char": "char",
+    "boolean": "boolean",
+}
+
+
+def oracle_method_calls(tree: AsltNode, classes: list[ClassInfo]) -> list[CallSite]:
+    """A unit's calls by plain recursion from each statement root, a call
+    before the calls in its arguments.
+
+    The roots are a method block's statements, in order: each initialized
+    declarator of a declaration, expecting the declared type; the value of
+    an assignment, expecting the bound type of its target; any other
+    expression statement's expression, and a return's value.  An initialized
+    field's value is a root too, expecting the field's type.  A method
+    invocation's receiver is a bound variable's type, a known class named
+    directly (a static call), or the enclosing class when there is none; a
+    ``new`` with a type and an argument list is a call of ``<init>`` with no
+    expected return.  An argument is typed by its binding, its literal
+    category, its ``new`` type, or, for a call, the return type of the one
+    method of that name; anything else is unresolved.  Names are bound by
+    :func:`oracle_bindings` and classes found by :func:`oracle_find_class`."""
+    bindings = list(oracle_bindings(tree)[0].values())
+    calls: list[CallSite] = []
+
+    def declared(node: AsltNode) -> TypeName | None:
+        for child in node.children:
+            if child.kind == TYPE_REFERENCE:
+                name = child.attributes.get("name", "")
+                return TypeName(IMPLICIT_IMPORTS.get(name, name), int(child.attributes.get("dims", "0")))
+        return None
+
+    def bound(name: str, scope: Scope) -> TypeName | None:
+        binding = oracle_lookup_binding(name, bindings, scope)
+        return binding.declared_type if binding is not None else None
+
+    def receiver(call: AsltNode, scope: Scope) -> TypeName | Unresolved:
+        if len(call.children) < 2:
+            return TypeName(scope.class_name)
+        name = call.children[0].attributes.get("name", "")
+        if bound(name, scope) is not None:
+            return bound(name, scope)
+        name = IMPLICIT_IMPORTS.get(name, name)
+        return TypeName(name) if oracle_find_class(classes, name) is not None else UNRESOLVED
+
+    def argument_type(argument: AsltNode, scope: Scope) -> TypeName | Unresolved:
+        if argument.kind == IDENTIFIER_EXPRESSION:
+            return bound(argument.attributes.get("name", ""), scope) or UNRESOLVED
+        if argument.kind == LITERAL_TAG:
+            name = LITERAL_TYPE_NAMES.get(argument.attributes.get("category", ""))
+            return TypeName(name) if name is not None else UNRESOLVED
+        if argument.kind == NEW_OBJECT_EXPRESSION:
+            return declared(argument) or UNRESOLVED
+        if argument.kind == METHOD_INVOKE_EXPRESSION:
+            target = receiver(argument, scope)
+            if isinstance(target, TypeName) and target.dims == 0:
+                info = oracle_find_class(classes, target.name)
+                name = argument.attributes.get("name", "")
+                same_name = [m for m in info.methods if m.name == name] if info is not None else []
+                if len(same_name) == 1:
+                    return same_name[0].return_type
+        return UNRESOLVED
+
+    def visit(node: AsltNode, scope: Scope, expected) -> None:
+        if node.kind == METHOD_INVOKE_EXPRESSION:
+            target = receiver(node, scope)
+            name = node.attributes.get("name", "")
+            arguments = node.children[-1].children if node.children else ()
+        elif node.kind == NEW_OBJECT_EXPRESSION and len(node.children) == 2:
+            target = declared(node) or UNRESOLVED
+            name = "<init>"
+            arguments = node.children[1].children
+            expected = UNCONSTRAINED
+        else:
+            return
+        span = node.span
+        location = Location(span.file, span.start_line, span.start_column) if span else Location("", 0, 0)
+        types = tuple(argument_type(argument, scope) for argument in arguments)
+        calls.append(CallSite(scope.class_name, scope.method_name, target, name, types, expected, location))
+        for argument in arguments:
+            visit(argument, scope, UNCONSTRAINED)
+
+    def statement(node: AsltNode, scope: Scope) -> None:
+        if node.kind == VARIABLE_DECLARATION:
+            for declarator in node.children[1:]:
+                if declarator.children:
+                    visit(declarator.children[0], scope, declared(node) or UNCONSTRAINED)
+        elif node.kind == EXPRESSION_STATEMENT and node.children:
+            inner = node.children[0]
+            if inner.kind == SIMPLE_ASSIGNMENT_EXPRESSION and len(inner.children) == 2:
+                target, value = inner.children
+                visit(value, scope, bound(target.attributes.get("name", ""), scope) or UNCONSTRAINED)
+            else:
+                visit(inner, scope, UNCONSTRAINED)
+        elif node.kind == RETURN_STATEMENT and node.children:
+            visit(node.children[0], scope, UNCONSTRAINED)
+
+    declarations = [node for node in tree.children if node.kind == CLASS_DECLARATION]
+    position = 0
+    for class_position, declaration in enumerate(declarations):
+        class_name = declaration.attributes.get("name", "")
+        for member in declaration.children:
+            if member.kind == METHOD_DECLARATION:
+                scope = Scope(class_name, member.attributes.get("name", ""), position, class_position)
+                blocks = [child for child in member.children if child.kind == BLOCK]
+                for node in blocks[0].children if blocks else ():
+                    statement(node, scope)
+            elif member.kind == FIELD_DECLARATION and len(member.children) == 2:
+                fields = Scope(class_name, class_position=class_position)
+                visit(member.children[1], fields, declared(member) or UNCONSTRAINED)
+            position += 1
+    return calls
 
 
 def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:

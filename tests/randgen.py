@@ -216,6 +216,29 @@ def random_program_tree(rng: random.Random, file_name: str = "Random.java") -> a
     return aslt.AsltNode(aslt.COMPILATION_UNIT, {"file": file_name}, tuple(children))
 
 
+def random_callee_classes(rng: random.Random) -> list[ClassInfo]:
+    """Classes for the names that :func:`random_program_tree` can call: the
+    types its variables are declared with, its own classes (bare calls) and a
+    few identifiers (static calls).  Method names are identifier words, some
+    of them overloaded, so a nested call's type is sometimes unique, sometimes
+    ambiguous and sometimes unknown."""
+    classes = []
+    for name in ("Widget", "Box", "util.Api", "java.lang.String", "Gen0", "Gen1", "helper", "box"):
+        if rng.random() < 0.2:
+            continue
+        methods = [
+            MethodSignature(
+                rng.choice(_IDENT_WORDS),
+                (random_type(rng),) * rng.randrange(0, 2),
+                random_return_type(rng),
+            )
+            for _ in range(rng.randrange(0, 8))
+        ]
+        unique = {(m.name, m.parameter_types): m for m in methods}
+        classes.append(ClassInfo(name, "java.lang.Object", methods=tuple(unique.values())))
+    return classes
+
+
 _ATTR_NAMES = ("name", "value", "file", "category", "extends", "dims")
 _NASTY_VALUES = (
     "plain",

@@ -21,7 +21,7 @@ from compatcheck.analysis import (
     method_called,
     resolve_argument_type,
 )
-from compatcheck.aslt import parse_source, print_source, read_aslt
+from compatcheck.aslt import parse_source, print_source, read_aslt, write_aslt
 from compatcheck.classfile import (
     VOID,
     ClassInfo,
@@ -32,8 +32,14 @@ from compatcheck.classfile import (
 from compatcheck.cli import gen_testbed
 from compatcheck.config import ProjectConfig
 
-from oracles import oracle_bindings, oracle_find_class, oracle_lookup_binding, oracle_reports
-from randgen import oracle_calls, oracle_classes, random_program_tree
+from oracles import (
+    oracle_bindings,
+    oracle_find_class,
+    oracle_lookup_binding,
+    oracle_method_calls,
+    oracle_reports,
+)
+from randgen import oracle_calls, oracle_classes, random_callee_classes, random_program_tree
 
 STRING = TypeName("java.lang.String")
 INT = TypeName("int")
@@ -508,6 +514,167 @@ def test_nested_calls_in_source_order():
     assert [c.invoked_name for c in calls] == ["f", "g", "h"]
 
 
+def _assert_calls_match_the_oracle(unit, classes):
+    bindings, _ = get_all_variables_types(unit)
+    calls = get_all_method_calls(unit, bindings, index_classes(classes))
+    expected = oracle_method_calls(unit, classes)
+    for index, (call, want) in enumerate(zip(calls, expected)):
+        assert call == want, index
+    assert len(calls) == len(expected)
+    return calls
+
+
+def test_extraction_matches_the_recursive_reference_on_random_programs():
+    rng = random.Random(0xCA11)
+    calls = []
+    nested = 0
+    for _ in range(300):
+        tree = random_program_tree(rng)
+        classes = random_callee_classes(rng)
+        parsed = parse_source(print_source(tree), file_name="Random.java")
+        read = read_aslt(write_aslt(parsed), file_name="Random.aslt")
+        results = [_assert_calls_match_the_oracle(unit, classes) for unit in (tree, parsed, read)]
+        calls += [call for result in results for call in result]
+        # A statement is one source line, so a call on its caller's line is nested.
+        lines = [call.location.line for call in results[1]]
+        nested += sum(a == b for a, b in zip(lines, lines[1:]))
+    # Every rule is taken: nested calls, receivers that are bound, static,
+    # enclosing or unresolved, and arguments of every kind.
+    argument_types = [t for call in calls for t in call.argument_types]
+    receivers = {call.receiver_class for call in calls}
+    assert len(calls) > 1000 and nested > 50
+    assert "<init>" in {call.invoked_name for call in calls}
+    assert {TypeName("Widget"), TypeName("helper"), TypeName("Gen0"), UNRESOLVED} <= receivers
+    assert UNRESOLVED in argument_types
+    assert {"int", "double", "char", "boolean", "java.lang.String", "Widget"} <= {
+        t.name for t in argument_types if t is not UNRESOLVED
+    }
+    assert any(call.expected_return is not UNCONSTRAINED for call in calls)
+
+
+# Hand-written trees the grammar cannot produce, or rarely does.
+NESTED_IN_NEW_ASLT = """CompilationUnit file="N.java"
+  ClassDeclaration name="N"
+    MethodDeclaration name="m"
+      TypeReference name="void"
+      Block
+        ASLTJavaVariableDeclaration
+          TypeReference name="Box"
+          ASLTJavaVariableDeclarator name="b"
+            NewObjectExpression
+              TypeReference name="Box"
+              ArgumentList
+                ASLTJavaMethodInvokeExpression name="size"
+                  ASLTJavaIdentifierExpression name="b"
+                  ArgumentList
+                    ASLTJavaLiteralTag category="integer" value="1"
+                ASLTJavaLiteralTag category="string" value="\\"s\\""
+                NewObjectExpression
+                  TypeReference name="Box"
+                  ArgumentList
+"""
+
+# A ``new`` without its two children is no call, and nothing below it is
+# visited; an argument ``new`` without them is still typed.
+SHORT_NEW_ASLT = """CompilationUnit file="S.java"
+  ClassDeclaration name="S"
+    MethodDeclaration name="m"
+      TypeReference name="void"
+      Block
+        ASLTJavaExpressionStatement
+          NewObjectExpression
+            TypeReference name="Box"
+        ASLTJavaExpressionStatement
+          NewObjectExpression
+            TypeReference name="Box"
+            ArgumentList
+              ASLTJavaMethodInvokeExpression name="hidden"
+                ArgumentList
+            ArgumentList
+        ASLTJavaExpressionStatement
+          ASLTJavaMethodInvokeExpression name="take"
+            ArgumentList
+              NewObjectExpression
+                TypeReference name="Box"
+              NewObjectExpression
+"""
+
+# Identifier and literal statement roots hold no call; the calls around
+# them keep their order.  A literal of no known category is unresolved.
+LEAF_ROOTS_ASLT = """CompilationUnit file="L.java"
+  ClassDeclaration name="L"
+    FieldDeclaration name="k"
+      TypeReference name="int"
+      ASLTJavaLiteralTag category="integer" value="3"
+    MethodDeclaration name="m"
+      TypeReference name="int"
+      Block
+        ASLTJavaExpressionStatement
+          ASLTJavaIdentifierExpression name="k"
+        ASLTJavaExpressionStatement
+          ASLTJavaMethodInvokeExpression name="first"
+            ArgumentList
+              ASLTJavaIdentifierExpression name="k"
+              ASLTJavaLiteralTag category="hex" value="0x1"
+        ASLTJavaExpressionStatement
+          ASLTJavaLiteralTag category="char" value="'c'"
+        ASLTJavaVariableDeclaration
+          TypeReference name="int"
+          ASLTJavaVariableDeclarator name="v"
+            ASLTJavaLiteralTag category="integer" value="4"
+          ASLTJavaVariableDeclarator name="w"
+            ASLTJavaMethodInvokeExpression name="second"
+              ArgumentList
+        ReturnStatement
+          ASLTJavaLiteralTag category="boolean" value="true"
+"""
+
+BOX = TypeName("Box")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            NESTED_IN_NEW_ASLT,
+            [
+                ("N", "<init>", BOX, (INT, STRING, BOX), UNCONSTRAINED, 9),
+                ("N", "size", BOX, (INT,), UNCONSTRAINED, 12),
+                ("N", "<init>", BOX, (), UNCONSTRAINED, 17),
+            ],
+        ),
+        (
+            SHORT_NEW_ASLT,
+            [("S", "take", TypeName("S"), (BOX, UNRESOLVED), UNCONSTRAINED, 17)],
+        ),
+        (
+            LEAF_ROOTS_ASLT,
+            [
+                ("L", "first", TypeName("L"), (INT, UNRESOLVED), UNCONSTRAINED, 12),
+                ("L", "second", TypeName("L"), (), INT, 23),
+            ],
+        ),
+    ],
+    ids=["call-in-new", "new-without-two-children", "leaf-roots"],
+)
+def test_extraction_of_hand_written_trees(text, expected):
+    classes = [ClassInfo("Box", methods=(MethodSignature("size", (INT,), INT),))]
+    unit = read_aslt(text, file_name="T.aslt")
+    calls = _assert_calls_match_the_oracle(unit, classes)
+    assert [
+        (
+            call.caller_class,
+            call.invoked_name,
+            call.receiver_class,
+            call.argument_types,
+            call.expected_return,
+            call.location.line,
+        )
+        for call in calls
+    ] == expected
+    assert all(c.location.file == "T.aslt" and c.location.column == 1 for c in calls)
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
@@ -743,6 +910,27 @@ def test_repeated_call_shapes_are_decided_alike_at_every_site():
             )
     assert seen_kinds == set(MismatchKind)
     assert min(matched, array_receivers, unresolved_receivers, unresolved_arguments, missing_inits) > 0
+
+
+def test_an_equal_type_built_elsewhere_shares_the_cached_types_verdict(monkeypatch):
+    decided = []
+    original = analysis._verdict
+    monkeypatch.setattr(
+        analysis, "_verdict", lambda call, *rest: decided.append(call) or original(call, *rest)
+    )
+    cached = analysis._type_name("int", "0")
+    built = TypeName("int")
+    assert built is not cached and hash(built) == hash(cached)
+    classes = [ClassInfo("B", methods=(MethodSignature("f", (STRING,), VOID),))]
+    calls = [
+        CallSite("A", "m", TypeName("B"), "f", (argument,), UNCONSTRAINED, Location("A.java", line, 1))
+        for line, argument in ((1, cached), (2, built), (3, TypeName("int", 0)))
+    ]
+    reports = method_called(calls, index_classes(classes))
+    assert len(decided) == 1
+    assert [(r.kind, r.location.line) for r in reports] == [
+        (MismatchKind.PARAM_TYPE_MISMATCH, line) for line in (1, 2, 3)
+    ]
 
 
 class _CountedMethods(tuple):

@@ -847,6 +847,32 @@ def test_check_names_accepts_parsed_trees():
         aslt.check_names(random_program_tree(rng))
 
 
+def _first_name_error(tree):
+    """The message of check_names on the first node, in recursive preorder,
+    that fails on its own."""
+    for node in _recursive_preorder(tree):
+        try:
+            aslt.check_names(AsltNode(node.kind, node.attributes, (), node.span))
+        except AsltFormatError as exc:
+            return str(exc)
+    return None
+
+
+def test_check_names_raises_the_first_error_in_preorder():
+    rng = random.Random(0xF125)
+    several = 0
+    for _ in range(400):
+        tree = read_aslt(write_aslt(random_serial_tree(rng)))
+        try:
+            aslt.check_names(tree)
+            raised = None
+        except AsltFormatError as exc:
+            raised = str(exc)
+        assert raised == _first_name_error(tree)
+        several += sum(_first_name_error(node) is not None for node in tree.children) > 1
+    assert several > 20
+
+
 def test_node_constructor_rejects_unknown_kind():
     with pytest.raises(ValueError):
         AsltNode("FreeFormKind")

@@ -1,7 +1,16 @@
+import dataclasses
+import hashlib
+import os
+import pickle
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import compatcheck
 from compatcheck.classfile import (
     VOID,
     BadMagicError,
@@ -22,6 +31,7 @@ from compatcheck.classfile import (
 )
 
 from compatcheck.aslt import MAX_ARRAY_DIMS
+from compatcheck.cli import gen_testbed
 from randgen import random_class_info
 
 SAMPLE_CLASS_B = ClassInfo(
@@ -44,6 +54,45 @@ def test_type_name_str():
 def test_type_name_rejects_void_array():
     with pytest.raises(ValueError):
         TypeName("void", 1)
+
+
+def test_type_name_hash_is_the_hash_of_its_name_and_dims():
+    for type_name in (TypeName("int"), TypeName("java.lang.String", 2), VOID):
+        assert hash(type_name) == hash((type_name.name, type_name.dims))
+    wider = dataclasses.replace(TypeName("int", 1), dims=3)
+    assert hash(wider) == hash(("int", 3)) and wider == TypeName("int", 3)
+    renamed = dataclasses.replace(TypeName("int", 1), name="long")
+    assert hash(renamed) == hash(("long", 1)) and renamed == TypeName("long", 1)
+
+
+def test_type_name_repr_and_equality_leave_the_stored_hash_out():
+    assert repr(TypeName("int", 2)) == "TypeName(name='int', dims=2)"
+    assert TypeName("int", 2) == TypeName("int", 2) != TypeName("int", 1)
+    assert TypeName("int") != TypeName("long")
+    assert TypeName.__match_args__ == ("name", "dims")
+
+
+def test_an_unpickled_type_name_hashes_as_its_own_process_does():
+    """String hashes differ between processes, so a pickled TypeName must
+    not carry its hash into another one."""
+    data = pickle.dumps(TypeName("java.lang.String", 1))
+    check = (
+        "import pickle, sys; t = pickle.loads(sys.stdin.buffer.read()); "
+        "assert hash(t) == hash(('java.lang.String', 1)) and {t: 1}[TypeName('java.lang.String', 1)]"
+    )
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", "from compatcheck.classfile import TypeName; " + check],
+            input=data,
+            capture_output=True,
+            timeout=60,
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": str(Path(compatcheck.__file__).parent.parent),
+            },
+        )
+        assert result.returncode == 0, result.stderr.decode()
 
 
 def test_signature_equality_ignores_static_flag():
@@ -274,6 +323,83 @@ def test_emit_rejects_too_many_array_dimensions():
 def test_emit_rejects_slash_in_name():
     with pytest.raises(InvalidClassInfoError):
         emit_classfile(ClassInfo("bad/name"))
+
+
+# Names outside ASCII, or holding NUL, in every place a name is written: the
+# class, a field, a method and a type in a descriptor.
+@pytest.mark.parametrize(
+    "name", ["n\x00ul", "x\U0001D49C", "caf\u00e9", "\u65e5\u672c", "\u03a9\U0001F600\x00"]
+)
+def test_emit_writes_modified_utf8_that_parses_back(name):
+    info = ClassInfo(
+        "p." + name,
+        "java.lang.Object",
+        fields=(FieldMember(name, TypeName(name, 1)),),
+        methods=(MethodSignature(name, (TypeName(name),), TypeName("q." + name)),),
+    )
+    data = emit_classfile(info)
+    assert parse_classfile(data) == info
+    assert ("\x00" in name) == (b"\xc0\x80" in data)
+    assert not any(c.encode("utf-8") in data for c in name if ord(c) > 0xFFFF)
+
+
+def test_emit_encodes_nul_and_a_supplementary_character_as_jvms_4_4_7_does():
+    data = emit_classfile(ClassInfo("A", methods=(MethodSignature("x\U0001D49C\x00"),)))
+    # U+1D49C is the surrogates D835 DC9C, three bytes each; NUL is C0 80.
+    assert b"\x01\x00\x09x\xed\xa0\xb5\xed\xb2\x9c\xc0\x80" in data
+    assert "\U0001D49C".encode("utf-8") not in data
+
+
+def test_emit_keeps_the_bytes_of_ascii_names():
+    data = emit_classfile(ClassInfo("A", methods=(MethodSignature("run"),)))
+    assert b"\x01\x00\x03run" in data and b"\x01\x00\x03()V" in data
+
+
+@pytest.mark.parametrize("name", ["x\ud835", "\udc9cx", "\ud835\udc9c"])
+def test_emit_rejects_a_surrogate_in_a_name(name):
+    for info in (
+        ClassInfo("A", methods=(MethodSignature(name),)),
+        ClassInfo(name),
+        ClassInfo("A", fields=(FieldMember("f", TypeName(name)),)),
+    ):
+        with pytest.raises(InvalidClassInfoError, match="^unpaired surrogate in a name$"):
+            emit_classfile(info)
+
+
+def test_emit_rejects_a_name_longer_than_a_pool_entry_holds():
+    emit_classfile(ClassInfo("A", methods=(MethodSignature("m" * 0xFFFF),)))
+    with pytest.raises(InvalidClassInfoError, match="^a name of 65536 bytes is longer than 65535$"):
+        emit_classfile(ClassInfo("A", methods=(MethodSignature("m" * 0x10000),)))
+    # Three bytes a character: 21,846 of them are 65,538 bytes.
+    with pytest.raises(InvalidClassInfoError, match="^a name of 65538 bytes is longer than 65535$"):
+        emit_classfile(ClassInfo("A", methods=(MethodSignature("\u65e5" * 21846),)))
+
+
+def test_the_testbed_class_files_keep_their_bytes(tmp_path):
+    gen_testbed(tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.class"))
+    }
+    assert digests == {
+        "SampleClassA.class": "77be2a26f5290a3915aa489f8b57849c8edc8038dba0bad6e66985658ebfcc6c",
+        "SampleClassB.class": "7dcd6122834d146bfa0fa7ce61cc29a1a1af488acd15befe5f34d384cd91ac65",
+        "TestBed.class": "94d0f93860b4ecf26ce3e64a7ca2b3b0506705f968b216909ce6561848a2da4c",
+    }
+
+
+@pytest.mark.skipif(shutil.which("javap") is None, reason="javap is not installed")
+def test_javap_reads_an_emitted_supplementary_character(tmp_path):
+    info = ClassInfo("A", "java.lang.Object", methods=(MethodSignature("x\U0001D49C"),))
+    (tmp_path / "A.class").write_bytes(emit_classfile(info))
+    result = subprocess.run(
+        ["javap", "-p", "-J-Dfile.encoding=UTF-8", "-J-Dstdout.encoding=UTF-8", "A.class"],
+        cwd=tmp_path,
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert "public void x\U0001D49C();" in result.stdout.decode("utf-8")
 
 
 # ---------------------------------------------------------------------------

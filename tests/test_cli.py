@@ -270,21 +270,70 @@ def test_a_directory_named_like_the_source_leaves_its_tree_to_be_read(testbed):
 
 
 
-@pytest.mark.parametrize("name", ["Z.java", "Z.aslt", "Z.class"])
-def test_a_named_pipe_is_a_diagnostic_not_a_wait(testbed, name):
-    """Run in a child process, so that a read that blocks fails the test
-    at the timeout instead of hanging the suite."""
-    os.mkfifo(testbed / name)
-    script = "import sys; from compatcheck.cli import main; sys.exit(main(sys.argv[1:]))"
-    result = subprocess.run(
-        [sys.executable, "-c", script, "run", "--config", str(testbed / "constants.properties")],
+_MAIN = "import sys; from compatcheck.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _in_child(script, *arguments):
+    """Run ``script`` in a child process, so that a read that blocks fails
+    the test at the timeout instead of hanging the suite."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, arguments)],
         capture_output=True,
         text=True,
         timeout=30,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
     )
+
+
+@pytest.mark.parametrize("name", ["Z.java", "Z.aslt", "Z.class"])
+def test_a_named_pipe_is_a_diagnostic_not_a_wait(testbed, name):
+    os.mkfifo(testbed / name)
+    result = _in_child(_MAIN, "run", "--config", testbed / "constants.properties")
     assert (result.returncode, result.stderr) == (0, f"warning: {name}: not a regular file\n")
     assert not (testbed / "Z.aslt").is_file()
+
+
+def test_aslt_of_a_named_pipe_is_an_error_not_a_wait(tmp_path):
+    os.mkfifo(tmp_path / "Z.java")
+    result = _in_child(_MAIN, "aslt", tmp_path / "Z.java")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {tmp_path / 'Z.java'}: not a regular file\n"
+
+
+def test_a_named_pipe_as_the_config_is_an_error_not_a_wait(tmp_path):
+    os.mkfifo(tmp_path / "c.properties")
+    result = _in_child(_MAIN, "run", "--config", tmp_path / "c.properties")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {tmp_path / 'c.properties'}: not a regular file\n"
+
+
+def test_load_config_file_refuses_a_named_pipe(tmp_path):
+    os.mkfifo(tmp_path / "c.properties")
+    script = "import sys; from compatcheck.config import load_config_file; load_config_file(sys.argv[1])"
+    result = _in_child(script, tmp_path / "c.properties")
+    assert result.returncode == 1
+    assert result.stderr.endswith("\nOSError: not a regular file\n")
+
+
+@pytest.mark.parametrize("command", [["run", "--config"], ["aslt"]])
+def test_read_errors_of_the_config_and_the_source_print_as_path_reads_do(tmp_path, capsys, command):
+    missing = tmp_path / "no" / "c.properties"
+    with pytest.raises(OSError) as caught:
+        missing.read_text(encoding="utf-8")
+    assert main([*command, str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: {caught.value}\n")
+    latin = tmp_path / "Caf\u00e9.java"
+    latin.write_bytes("class Caf\u00e9 { }".encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as caught:
+        latin.read_text(encoding="utf-8")
+    assert main([*command, str(latin)]) == (2 if command[0] == "run" else 3)
+    assert capsys.readouterr() == ("", f"error: {latin}: {caught.value}\n")
+
+
+def test_a_directory_as_the_config_or_the_source_is_not_a_regular_file(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert main(["aslt", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path}: not a regular file\n" * 2)
 
 
 BAD_TREE_SOURCE = "class Bad { int[] a; B b = new B(); void m() { b.f(a); } }"
