@@ -18,7 +18,6 @@ from .analysis import (
     VariableBinding,
     get_all_method_calls,
     get_all_variables_types,
-    get_class_infos,
     index_classes,
     method_called,
     resolve_argument_type,
@@ -86,7 +85,6 @@ __all__ = [
     "gen_testbed",
     "get_all_method_calls",
     "get_all_variables_types",
-    "get_class_infos",
     "index_classes",
     "load_config",
     "load_config_file",

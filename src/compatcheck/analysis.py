@@ -3,7 +3,8 @@
 The source side contributes variable types and method invocations pulled
 out of parsed trees; the component side contributes the compiled class-file
 surface.  ``method_called`` confronts the two and collects one mismatch
-report per incompatible call.
+report per incompatible call.  What a tree declares is read here too: the
+qualified names of its classes, and the compiled surface of its first class.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from . import aslt
 from .aslt import AsltNode
 from .classfile import (
     CONSTRUCTOR_NAME,
+    VOID,
     ClassInfo,
     Diagnostic,
+    FieldMember,
     MethodSignature,
     TypeName,
-    scan_classfiles,
 )
-from .config import ProjectConfig
 
 # The subset has no import statements; these well-known names are treated
 # as implicitly imported.  Everything else is taken verbatim.
@@ -199,9 +200,72 @@ def _declared_type(node: AsltNode) -> TypeName | None:
     return source_type_name(type_node) if type_node is not None else None
 
 
-def get_class_infos(config: ProjectConfig) -> tuple[list[ClassInfo], list[Diagnostic]]:
-    """Collect the compiled surface of every component under the project path."""
-    return scan_classfiles(config.path_to_application, config.class_file_extension)
+def class_names(unit: AsltNode) -> list[str]:
+    """The package-qualified name of each class the unit declares, in source order."""
+    package = unit.first(aslt.PACKAGE_DECLARATION)
+    prefix = package.attributes.get("name", "") + "." if package is not None else ""
+    return [
+        prefix + node.attributes.get("name", "")
+        for node in unit.children
+        if node.kind == aslt.CLASS_DECLARATION
+    ]
+
+
+def duplicate_classes(
+    file_name: str, names: Iterable[str], first_declared: dict[str, str]
+) -> list[Diagnostic]:
+    """A warning for each of ``names`` that ``first_declared``, from a qualified
+    class name to the file that declared it first, already holds; each other
+    name is entered as ``file_name``'s, so the first declaration stands."""
+    diagnostics = []
+    for name in names:
+        if name in first_declared:
+            first = first_declared[name]
+            diagnostics.append(Diagnostic(file_name, f"duplicate class {name!r}, first declared in {first}"))
+        else:
+            first_declared[name] = file_name
+    return diagnostics
+
+
+def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInfo:
+    """Derive the compiled surface a compiler would produce for a unit's
+    first class: declared members plus an implicit no-argument constructor."""
+    class_node = unit.first(aslt.CLASS_DECLARATION)
+    if class_node is None:
+        raise ValueError("compilation unit contains no class declaration")
+    extends = class_node.attributes.get("extends")
+    superclass = canonical_name(extends) if extends else "java.lang.Object"
+    implements = class_node.attributes.get("implements", "")
+    interfaces = tuple(canonical_name(n) for n in implements.split(",") if n)
+    fields = []
+    methods = [MethodSignature(CONSTRUCTOR_NAME, (), VOID)]
+    for member in class_node.children:
+        if member.kind == aslt.FIELD_DECLARATION:
+            type_node = member.first(aslt.TYPE_REFERENCE)
+            if type_node is not None:
+                fields.append(FieldMember(member.attributes.get("name", ""), source_type_name(type_node)))
+        elif member.kind == aslt.METHOD_DECLARATION:
+            parameters = tuple(
+                source_type_name(child.children[0])
+                for child in member.children
+                if child.kind == aslt.PARAMETER_DECLARATION and child.children
+            )
+            methods.append(
+                MethodSignature(
+                    member.attributes.get("name", ""),
+                    parameters,
+                    source_type_name(member.children[0]),
+                    is_static=member.attributes.get("static") == "true",
+                )
+            )
+    return ClassInfo(
+        qualified_name=class_node.attributes.get("name", ""),
+        superclass_name=superclass,
+        interface_names=interfaces,
+        fields=tuple(fields),
+        methods=tuple(methods),
+        source_file_name=source_file_name,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ The supported grammar::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 # --- node kinds (closed enumeration) ---------------------------------------
 
@@ -175,15 +174,6 @@ class AsltNode:
         return None
 
 
-def iter_nodes(tree: AsltNode) -> Iterator[AsltNode]:
-    """Preorder traversal, with an explicit stack instead of recursion."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += node.children[::-1]
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -201,10 +191,6 @@ class Token:
     lexeme: str
     line: int
     column: int
-
-    @property
-    def end_column(self) -> int:
-        return self.column + len(self.lexeme)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -1022,7 +1008,7 @@ def check_names(tree: AsltNode) -> None:
     trips; a tree read for analysis must pass this check as well.  The error
     gives the line of the offending node, taken from its span.
     """
-    # Preorder with its own stack, as iter_nodes walks, without a generator.
+    # Preorder with its own stack: no recursion, and no generator to resume per node.
     named = (CLASS_DECLARATION, TYPE_REFERENCE)
     stack = [tree]
     while stack:

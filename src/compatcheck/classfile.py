@@ -35,10 +35,6 @@ ACC_SYNTHETIC = 0x1000
 
 CONSTRUCTOR_NAME = "<init>"
 
-PRIMITIVE_TYPES = frozenset(
-    {"int", "long", "short", "byte", "char", "boolean", "float", "double"}
-)
-
 _PRIMITIVE_BY_CODE = {
     "B": "byte",
     "C": "char",
@@ -505,7 +501,7 @@ def _check_reference_name(name: str, what: str) -> None:
 def _check_type(type_name: TypeName, what: str) -> None:
     if type_name.dims > MAX_ARRAY_DIMS:
         raise InvalidClassInfoError(f"{what} has more than {MAX_ARRAY_DIMS} array dimensions")
-    if type_name.name not in PRIMITIVE_TYPES and type_name.name != "void":
+    if type_name.name not in _CODE_BY_PRIMITIVE and type_name.name != "void":
         _check_reference_name(type_name.name, what)
 
 

@@ -13,18 +13,16 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import analysis, aslt
-from .analysis import CallSite, MismatchReport
+from .analysis import CallSite, MismatchReport, class_info_from_tree
 from .classfile import (
-    VOID,
     ClassInfo,
     Diagnostic,
-    FieldMember,
-    MethodSignature,
     emit_classfile,
     read_regular_file,
+    scan_classfiles,
     walk_files,
 )
 from .config import (
@@ -96,55 +94,28 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         run.exit_code = EXIT_CONFIG
         return run
 
-    run.class_infos, class_diagnostics = analysis.get_class_infos(config)
+    run.class_infos, class_diagnostics = scan_classfiles(root, config.class_file_extension)
     run.diagnostics.extend(class_diagnostics)
+    # Class files keep a table of their own: a source's own class file is no duplicate.
+    first_class_file: dict[str, str] = {}
+    for info in run.class_infos:
+        run.diagnostics.extend(
+            analysis.duplicate_classes(info.source_file_name, (info.qualified_name,), first_class_file)
+        )
 
-    files = walk_files(root)
-    present = set(files)
-    trees: dict[str, aslt.AsltNode] = {}
-    parse_diagnostics: list[Diagnostic] = []
-    for relative in files:
-        if not relative.endswith(SOURCE_EXTENSION):
-            continue
-        try:
-            tree = aslt.parse_source(read_regular_file(root / relative, "utf-8"), file_name=relative)
-        except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
-            parse_diagnostics.append(Diagnostic(relative, str(exc)))
-            continue
-        trees[relative] = tree
-        sibling = relative[: -len(SOURCE_EXTENSION)] + config.aslt_file_extension
-        if sibling not in present:
-            try:
-                (root / sibling).write_text(aslt.write_aslt(tree), encoding="utf-8")
-            except OSError as exc:
-                parse_diagnostics.append(Diagnostic(sibling, f"cannot write: {exc}"))
-    for relative in files:
-        if not relative.endswith(config.aslt_file_extension):
-            continue
-        if relative[: -len(config.aslt_file_extension)] + SOURCE_EXTENSION in present:
-            continue  # the source is analysed instead
-        try:
-            tree = aslt.read_aslt(read_regular_file(root / relative, "utf-8"), file_name=relative)
-            aslt.check_names(tree)
-        except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
-            parse_diagnostics.append(Diagnostic(relative, str(exc)))
-            continue
-        trees[relative] = tree
-
-    # Parse failures are recoverable while at least one tree survives;
+    run.aslt_trees, load_diagnostics = _load_units(root, config.aslt_file_extension)
+    # Load failures are recoverable while at least one tree survives;
     # when nothing survives they abort the analysis and count as fatal.
-    unrecoverable = bool(parse_diagnostics) and not trees
+    unrecoverable = bool(load_diagnostics) and not run.aslt_trees
     if unrecoverable:
-        parse_diagnostics = [dataclasses.replace(d, fatal=True) for d in parse_diagnostics]
-    run.diagnostics.extend(parse_diagnostics)
-
-    run.aslt_trees = dict(sorted(trees.items()))
+        load_diagnostics = [dataclasses.replace(d, fatal=True) for d in load_diagnostics]
+    run.diagnostics.extend(load_diagnostics)
 
     # Each unit is bound and extracted on its own, so its names resolve within it.
     class_index = analysis.index_classes(run.class_infos)
     first_declared: dict[str, str] = {}
     for name, tree in run.aslt_trees.items():
-        run.diagnostics.extend(_duplicate_classes(name, tree, first_declared))
+        run.diagnostics.extend(analysis.duplicate_classes(name, analysis.class_names(tree), first_declared))
         bindings, binding_diagnostics = analysis.get_all_variables_types(tree)
         run.diagnostics.extend(binding_diagnostics)
         run.call_sites.extend(analysis.get_all_method_calls(tree, bindings, class_index))
@@ -154,26 +125,48 @@ def _analyse(config: ProjectConfig, widening: bool) -> AnalysisRun:
         run.exit_code = EXIT_PARSE
     elif run.reports:
         run.exit_code = EXIT_MISMATCHES
-    else:
-        run.exit_code = EXIT_OK
     return run
 
 
-def _duplicate_classes(
-    file_name: str, tree: aslt.AsltNode, first_declared: dict[str, str]
-) -> Iterator[Diagnostic]:
-    """A warning for each class of the unit that ``first_declared``, from a
-    package-qualified name to the file that declared it first, already holds."""
-    package = tree.first(aslt.PACKAGE_DECLARATION)
-    prefix = package.attributes.get("name", "") + "." if package is not None else ""
-    for class_node in tree.children:
-        if class_node.kind == aslt.CLASS_DECLARATION:
-            qualified = prefix + class_node.attributes.get("name", "")
-            if qualified in first_declared:
-                first = first_declared[qualified]
-                yield Diagnostic(file_name, f"duplicate class {qualified!r}, first declared in {first}")
-            else:
-                first_declared[qualified] = file_name
+def _load_units(root: Path, aslt_extension: str) -> tuple[dict[str, aslt.AsltNode], list[Diagnostic]]:
+    """Every caller below ``root`` as a tree, by path in sorted order, and the
+    files that failed to load: the sources first, then the ``.aslt`` files.
+
+    A source is parsed, and its ``.aslt`` sibling written unless the walk
+    lists one.  An ``.aslt`` file is read, and must pass
+    :func:`aslt.check_names`, only when the walk lists no source beside it.
+    """
+    files = walk_files(root)
+    present = set(files)
+    trees: dict[str, aslt.AsltNode] = {}
+    source_diagnostics: list[Diagnostic] = []
+    tree_diagnostics: list[Diagnostic] = []
+    for relative in files:
+        if relative.endswith(SOURCE_EXTENSION):
+            try:
+                tree = aslt.parse_source(read_regular_file(root / relative, "utf-8"), file_name=relative)
+            except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
+                source_diagnostics.append(Diagnostic(relative, str(exc)))
+                continue
+            trees[relative] = tree
+            sibling = relative[: -len(SOURCE_EXTENSION)] + aslt_extension
+            if sibling not in present:
+                try:
+                    (root / sibling).write_text(aslt.write_aslt(tree), encoding="utf-8")
+                except OSError as exc:
+                    source_diagnostics.append(Diagnostic(sibling, f"cannot write: {exc}"))
+        elif (
+            relative.endswith(aslt_extension)
+            and relative[: -len(aslt_extension)] + SOURCE_EXTENSION not in present
+        ):
+            try:
+                tree = aslt.read_aslt(read_regular_file(root / relative, "utf-8"), file_name=relative)
+                aslt.check_names(tree)
+            except (OSError, UnicodeDecodeError, aslt.AsltError) as exc:
+                tree_diagnostics.append(Diagnostic(relative, str(exc)))
+                continue
+            trees[relative] = tree
+    return trees, source_diagnostics + tree_diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +231,10 @@ def show_all_errors(run: AnalysisRun) -> str:
         for info in run.class_infos:
             lines.extend(_class_block(info))
     if run.config.debug_level >= 2:
-        for name in sorted(run.aslt_trees):
+        for name, tree in run.aslt_trees.items():
             lines.append("")
             lines.append(f"aslt {name}:")
-            lines.append(aslt.write_aslt(run.aslt_trees[name]).rstrip("\n"))
+            lines.append(aslt.write_aslt(tree).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -340,49 +333,6 @@ _TESTBED_SOURCES = {
 }
 """,
 }
-
-
-def class_info_from_tree(unit: aslt.AsltNode, source_file_name: str = "") -> ClassInfo:
-    """Derive the compiled surface a compiler would produce for a unit's
-    first class: declared members plus an implicit no-argument constructor."""
-    class_node = unit.first(aslt.CLASS_DECLARATION)
-    if class_node is None:
-        raise ValueError("compilation unit contains no class declaration")
-    extends = class_node.attributes.get("extends")
-    superclass = analysis.canonical_name(extends) if extends else "java.lang.Object"
-    implements = class_node.attributes.get("implements", "")
-    interfaces = tuple(analysis.canonical_name(n) for n in implements.split(",") if n)
-    fields = []
-    methods = [MethodSignature("<init>", (), VOID)]
-    for member in class_node.children:
-        if member.kind == aslt.FIELD_DECLARATION:
-            type_node = member.first(aslt.TYPE_REFERENCE)
-            if type_node is not None:
-                fields.append(
-                    FieldMember(member.attributes.get("name", ""), analysis.source_type_name(type_node))
-                )
-        elif member.kind == aslt.METHOD_DECLARATION:
-            parameters = tuple(
-                analysis.source_type_name(child.children[0])
-                for child in member.children
-                if child.kind == aslt.PARAMETER_DECLARATION and child.children
-            )
-            methods.append(
-                MethodSignature(
-                    member.attributes.get("name", ""),
-                    parameters,
-                    analysis.source_type_name(member.children[0]),
-                    is_static=member.attributes.get("static") == "true",
-                )
-            )
-    return ClassInfo(
-        qualified_name=class_node.attributes.get("name", ""),
-        superclass_name=superclass,
-        interface_names=interfaces,
-        fields=tuple(fields),
-        methods=tuple(methods),
-        source_file_name=source_file_name,
-    )
 
 
 def gen_testbed(directory: Path | str) -> list[Path]:

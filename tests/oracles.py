@@ -395,6 +395,14 @@ def oracle_method_calls(tree: AsltNode, classes: list[ClassInfo]) -> list[CallSi
     return calls
 
 
+def oracle_preorder(node: AsltNode) -> list[AsltNode]:
+    """Every node of the tree in preorder, by recursion."""
+    nodes = [node]
+    for child in node.children:
+        nodes.extend(oracle_preorder(child))
+    return nodes
+
+
 def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
     """``.aslt`` text to a tree in two passes: every line is checked and
     parsed into a list first, and the tree is built from that list, so a bad

@@ -18,7 +18,7 @@ from compatcheck.classfile import ClassFileError, emit_classfile, parse_classfil
 from compatcheck.cli import gen_testbed, main, run_analysis
 from compatcheck.config import KNOWN_KEYS, load_config, parse_properties
 
-from oracles import oracle_reports
+from oracles import oracle_preorder, oracle_reports
 from randgen import (
     oracle_calls,
     oracle_classes,
@@ -143,7 +143,7 @@ def test_criterion_4_debug_levels(testbed):
     assert "classes:" in level_2
     for info in run.class_infos:
         assert info.qualified_name in level_2
-    occurring_kinds = {n.kind for t in run.aslt_trees.values() for n in aslt.iter_nodes(t)}
+    occurring_kinds = {n.kind for t in run.aslt_trees.values() for n in oracle_preorder(t)}
     for kind in occurring_kinds:
         assert kind in level_2
 

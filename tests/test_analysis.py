@@ -16,7 +16,6 @@ from compatcheck.analysis import (
     VariableBinding,
     get_all_method_calls,
     get_all_variables_types,
-    get_class_infos,
     index_classes,
     method_called,
     resolve_argument_type,
@@ -28,9 +27,9 @@ from compatcheck.classfile import (
     MethodSignature,
     TypeName,
     emit_classfile,
+    scan_classfiles,
 )
 from compatcheck.cli import gen_testbed
-from compatcheck.config import ProjectConfig
 
 from oracles import (
     oracle_bindings,
@@ -1314,14 +1313,14 @@ def test_declarations_without_a_type_reference_are_skipped():
 
 
 # ---------------------------------------------------------------------------
-# get_class_infos
+# scan_classfiles
 # ---------------------------------------------------------------------------
 
 def test_get_class_infos_scans_configured_extension(tmp_path):
     for info in (CLASS_B_OK, ClassInfo("TestBed"), ClassInfo("SampleClassA")):
         (tmp_path / f"{info.qualified_name}.class").write_bytes(emit_classfile(info))
-    config = ProjectConfig(path_to_application=tmp_path)
-    infos, diagnostics = get_class_infos(config)
+    (tmp_path / "Ignored.klass").write_bytes(emit_classfile(ClassInfo("Ignored")))
+    infos, diagnostics = scan_classfiles(tmp_path, ".class")
     assert [i.qualified_name for i in infos] == ["SampleClassA", "SampleClassB", "TestBed"]
     assert diagnostics == []
 
@@ -1329,6 +1328,22 @@ def test_get_class_infos_scans_configured_extension(tmp_path):
 def test_get_class_infos_collects_diagnostics(tmp_path):
     (tmp_path / "Good.class").write_bytes(emit_classfile(ClassInfo("Good")))
     (tmp_path / "Bad.class").write_bytes(b"junk")
-    infos, diagnostics = get_class_infos(ProjectConfig(path_to_application=tmp_path))
+    infos, diagnostics = scan_classfiles(tmp_path, ".class")
     assert [i.qualified_name for i in infos] == ["Good"]
     assert [d.file for d in diagnostics] == ["Bad.class"]
+
+
+# ---------------------------------------------------------------------------
+# class_names and duplicate_classes
+# ---------------------------------------------------------------------------
+
+def test_the_first_declaration_of_a_qualified_class_name_stands():
+    unit = parse_source("package p; class A { } class B { } class A { }", file_name="P.java")
+    assert analysis.class_names(unit) == ["p.A", "p.B", "p.A"]
+    first_declared = {"p.B": "Q.java"}
+    diagnostics = analysis.duplicate_classes("P.java", analysis.class_names(unit), first_declared)
+    assert [(d.file, d.message) for d in diagnostics] == [
+        ("P.java", "duplicate class 'p.B', first declared in Q.java"),
+        ("P.java", "duplicate class 'p.A', first declared in P.java"),
+    ]
+    assert first_declared == {"p.B": "Q.java", "p.A": "P.java"}

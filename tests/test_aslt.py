@@ -13,7 +13,6 @@ from compatcheck.aslt import (
     MalformedTreeError,
     ParseError,
     Token,
-    iter_nodes,
     parse_source,
     print_source,
     read_aslt,
@@ -22,7 +21,7 @@ from compatcheck.aslt import (
 )
 from compatcheck.classfile import TypeName
 
-from oracles import oracle_read_aslt
+from oracles import oracle_preorder, oracle_read_aslt
 from randgen import random_program_tree, random_serial_tree
 
 SAMPLE_CALLER = """class SampleClassA {
@@ -308,8 +307,8 @@ def test_two_parses_share_no_attribute_dict():
     first = parse_source(SHARING_SOURCE, file_name="A.java")
     second = parse_source(SHARING_SOURCE, file_name="A.java")
     assert first == second
-    first_dicts = {id(node.attributes) for node in iter_nodes(first)}
-    assert not first_dicts & {id(node.attributes) for node in iter_nodes(second)}
+    first_dicts = {id(node.attributes) for node in oracle_preorder(first)}
+    assert not first_dicts & {id(node.attributes) for node in oracle_preorder(second)}
 
 
 def test_span_sanity_children_inside_parents():
@@ -344,7 +343,7 @@ def test_expression_kinds_use_configured_vocabulary():
 }
 """
     tree = parse_source(source)
-    kinds = {node.kind for node in iter_nodes(tree)}
+    kinds = {node.kind for node in oracle_preorder(tree)}
     assert kinds <= aslt.NODE_KINDS
     for expected in (
         aslt.EXPRESSION_STATEMENT,
@@ -570,8 +569,8 @@ def test_repeated_lines_give_equal_nodes_that_share_their_attributes():
     # A second read of the same text gets dicts of its own.
     again = read_aslt(text, file_name="T.aslt")
     assert again == tree
-    first_dicts = {id(node.attributes) for node in iter_nodes(tree)}
-    assert not first_dicts & {id(node.attributes) for node in iter_nodes(again)}
+    first_dicts = {id(node.attributes) for node in oracle_preorder(tree)}
+    assert not first_dicts & {id(node.attributes) for node in oracle_preorder(again)}
 
 
 @pytest.mark.parametrize(
@@ -606,7 +605,7 @@ def _read_outcome(reader, text: str):
         tree = reader(text, file_name="M.aslt")
     except AsltFormatError as exc:
         return "error", exc.line_number, str(exc)
-    return "tree", tree, [node.span for node in iter_nodes(tree)]
+    return "tree", tree, [node.span for node in oracle_preorder(tree)]
 
 
 def _assert_reads_as_the_oracle(text: str):
@@ -754,26 +753,14 @@ def test_read_rejects_nesting_past_the_bound(levels):
     assert exc.value.line_number == aslt.MAX_DEPTH + 2
 
 
-def _recursive_preorder(node: AsltNode) -> list[AsltNode]:
-    nodes = [node]
-    for child in node.children:
-        nodes.extend(_recursive_preorder(child))
-    return nodes
-
-
-def test_iter_nodes_is_preorder_on_random_trees():
-    rng = random.Random(0x17E5)
-    for _ in range(200):
-        tree = random_serial_tree(rng) if rng.random() < 0.5 else random_program_tree(rng)
-        assert [id(n) for n in iter_nodes(tree)] == [id(n) for n in _recursive_preorder(tree)]
-
-
-def test_iter_nodes_reaches_the_bound():
-    tree = read_aslt(blocks(aslt.MAX_DEPTH))
-    nodes = list(iter_nodes(tree))
-    assert len(nodes) == aslt.MAX_DEPTH + 1
-    assert [id(n) for n in nodes] == [id(n) for n in _recursive_preorder(tree)]
-    assert nodes[-1].span.start_line == aslt.MAX_DEPTH + 1
+def test_explicit_stack_walks_reach_the_bound():
+    # MAX_DEPTH nested blocks around a nameless TypeReference on the last line.
+    text = blocks(aslt.MAX_DEPTH - 1) + "  " * aslt.MAX_DEPTH + "TypeReference\n"
+    tree = read_aslt(text)
+    assert len(oracle_preorder(tree)) == aslt.MAX_DEPTH + 1
+    assert write_aslt(tree) == text
+    with pytest.raises(AsltFormatError, match=f"^line {aslt.MAX_DEPTH + 1}: a TypeReference needs"):
+        aslt.check_names(tree)
 
 
 def array_field(dims: str) -> str:
@@ -850,7 +837,7 @@ def test_check_names_accepts_parsed_trees():
 def _first_name_error(tree):
     """The message of check_names on the first node, in recursive preorder,
     that fails on its own."""
-    for node in _recursive_preorder(tree):
+    for node in oracle_preorder(tree):
         try:
             aslt.check_names(AsltNode(node.kind, node.attributes, (), node.span))
         except AsltFormatError as exc:
@@ -880,7 +867,7 @@ def test_node_constructor_rejects_unknown_kind():
 
 def test_token_dataclass_shape():
     token = Token("identifier", "abc", 3, 7)
-    assert token.end_column == 10
+    assert (token.category, token.lexeme, token.line, token.column) == ("identifier", "abc", 3, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +970,7 @@ def test_parsed_spans_are_unchanged():
     )
     spans = [
         (node.kind, node.span)
-        for node in iter_nodes(parse_source(source, file_name="A.java"))
+        for node in oracle_preorder(parse_source(source, file_name="A.java"))
     ]
     assert spans == [
         (kind, Span("A.java", *position))
@@ -1055,7 +1042,7 @@ def test_parse_builds_one_span_per_node(monkeypatch):
     for source in _sample_sources():
         made.clear()
         tree = parse_source(source, file_name="F.java")
-        assert len(made) == sum(1 for _ in iter_nodes(tree))
+        assert len(made) == sum(1 for _ in oracle_preorder(tree))
 
 
 _MUTATION_LEXEMES = (

@@ -560,6 +560,48 @@ def test_duplicate_class_output_ignores_discovery_order(tmp_path, monkeypatch, c
         assert capture(fmt, 1) == capture(fmt, 2) == capture(fmt, 3)
 
 
+def test_duplicate_class_file_warns_after_the_scan_and_before_the_load(testbed, capsys):
+    (testbed / "other").mkdir()
+    (testbed / "other" / "SampleClassB.class").write_bytes((testbed / "SampleClassB.class").read_bytes())
+    config = str(testbed / "constants.properties")
+    assert main(["run", "--config", config]) == 0
+    # The first file of a name stands; a source and its own class file are no pair.
+    assert capsys.readouterr().err == (
+        "warning: other/SampleClassB.class: duplicate class 'SampleClassB', "
+        "first declared in SampleClassB.class\n"
+    )
+
+    (testbed / "Junk.class").write_bytes(b"junk")
+    (testbed / "Broken.java").write_text("class {", encoding="utf-8")
+    assert main(["run", "--config", config, "--format", "json"]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["file"], d["fatal"]) for d in diagnostics] == [
+        ("Junk.class", False),
+        ("other/SampleClassB.class", False),
+        ("Broken.java", False),
+    ]
+
+
+def test_load_diagnostics_list_sources_before_trees(tmp_path):
+    # Not path order: the tree-only A.aslt sorts before Z.java.
+    (tmp_path / "Z.java").write_text("class {", encoding="utf-8")
+    (tmp_path / "A.aslt").write_text("NoSuchKind\n", encoding="utf-8")
+    run = run_analysis(ProjectConfig(path_to_application=tmp_path))
+    # Nothing loaded, so every load failure is fatal.
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [("Z.java", True), ("A.aslt", True)]
+    assert run.exit_code == 3
+
+    (tmp_path / "M.java").write_text("class M { }", encoding="utf-8")
+    run = run_analysis(ProjectConfig(path_to_application=tmp_path))
+    assert [(d.file, d.fatal) for d in run.diagnostics] == [("Z.java", False), ("A.aslt", False)]
+    assert list(run.aslt_trees) == ["M.java"]
+    assert run.exit_code == 0
+
+
+def test_class_info_from_tree_lives_in_analysis():
+    assert cli.class_info_from_tree is analysis.class_info_from_tree
+
+
 def test_widening_flag_reaches_comparison(tmp_path):
     (tmp_path / "A.java").write_text(
         "class A { void m() { B b = new B(); b.f(5); } }", encoding="utf-8"
