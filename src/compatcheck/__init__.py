@@ -9,7 +9,6 @@ from .analysis import (
     UNCONSTRAINED,
     UNRESOLVED,
     CallSite,
-    Location,
     MismatchKind,
     MismatchReport,
     Scope,
@@ -25,7 +24,7 @@ from .analysis import (
 from .aslt import (
     AsltError,
     AsltNode,
-    Span,
+    Location,
     Token,
     parse_source,
     print_source,
@@ -73,7 +72,6 @@ __all__ = [
     "MismatchReport",
     "ProjectConfig",
     "Scope",
-    "Span",
     "Token",
     "TypeName",
     "UNCONSTRAINED",

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import aslt
-from .aslt import AsltNode
+from .aslt import AsltNode, Location
 from .classfile import (
     CONSTRUCTOR_NAME,
     VOID,
@@ -104,18 +104,6 @@ class Scope:
         return self.class_name
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Location:
-    """Where a call starts; read-only by convention, never assigned once built."""
-
-    file: str
-    line: int
-    column: int
-
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.column}"
-
-
 @dataclass(frozen=True, slots=True)
 class VariableBinding:
     variable_name: str
@@ -133,6 +121,8 @@ ClassIndex = dict[str, tuple[ClassInfo, dict[str, list[MethodSignature]]]]
 _Pending = tuple[AsltNode, Scope, TypeName | Unconstrained]
 # The node kinds that are calls, and so the only ones that can hold one.
 _CALL_KINDS = (aslt.METHOD_INVOKE_EXPRESSION, aslt.NEW_OBJECT_EXPRESSION)
+# The location of a call whose node has none, such as one built in code.
+_NOWHERE = Location("", 0, 0)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -456,7 +446,6 @@ def get_all_method_calls(
             argument_types.append(resolve_argument_type(argument, bindings, classes, scope))
             if argument.kind in _CALL_KINDS:
                 nested.append((argument, scope, UNCONSTRAINED))
-        span = node.span
         calls.append(
             CallSite(
                 scope.class_name,
@@ -465,9 +454,7 @@ def get_all_method_calls(
                 invoked_name,
                 tuple(argument_types),
                 expected,
-                Location(span.file, span.start_line, span.start_column)
-                if span is not None
-                else Location("", 0, 0),
+                node.span or _NOWHERE,
             )
         )
         stack += nested[::-1]
@@ -508,16 +495,20 @@ def _assignable(arg: TypeName, param: TypeName, widening: bool) -> bool:
     return param.name in WIDENING.get(arg.name, ())
 
 
-def _matches(call: CallSite, signature: MethodSignature, widening: bool) -> bool:
-    if len(call.argument_types) != len(signature.parameter_types):
-        return False
-    for arg, param in zip(call.argument_types, signature.parameter_types):
-        if not isinstance(arg, TypeName) or not _assignable(arg, param, widening):
-            return False
-    return (
-        isinstance(call.expected_return, Unconstrained)
-        or call.expected_return == signature.return_type
-    )
+def _mismatch(call: CallSite, signature: MethodSignature, widening: bool) -> MismatchKind | None:
+    """The first check the call fails against ``signature``, or None if it passes all."""
+    arguments = call.argument_types
+    if any(isinstance(arg, Unresolved) for arg in arguments):
+        return MismatchKind.UNRESOLVED_ARGUMENT
+    if len(arguments) != len(signature.parameter_types):
+        return MismatchKind.ARITY_MISMATCH
+    for arg, param in zip(arguments, signature.parameter_types):
+        if not _assignable(arg, param, widening):
+            return MismatchKind.PARAM_TYPE_MISMATCH
+    expected = call.expected_return
+    if isinstance(expected, Unconstrained) or expected == signature.return_type:
+        return None
+    return MismatchKind.RETURN_TYPE_MISMATCH
 
 
 def _report(
@@ -561,24 +552,13 @@ def _verdict(call: CallSite, classes: ClassIndex, widening: bool) -> _Verdict:
     candidates = overloads.get(call.invoked_name)
     if not candidates:
         return MismatchKind.UNKNOWN_METHOD, info, None
-    if any(_matches(call, signature, widening) for signature in candidates):
+    if any(_mismatch(call, signature, widening) is None for signature in candidates):
         return None
     nearest = next(
         (m for m in candidates if len(m.parameter_types) == len(call.argument_types)),
         candidates[0],
     )
-    if any(isinstance(arg, Unresolved) for arg in call.argument_types):
-        kind = MismatchKind.UNRESOLVED_ARGUMENT
-    elif len(call.argument_types) != len(nearest.parameter_types):
-        kind = MismatchKind.ARITY_MISMATCH
-    elif not all(
-        _assignable(arg, param, widening)
-        for arg, param in zip(call.argument_types, nearest.parameter_types)
-    ):
-        kind = MismatchKind.PARAM_TYPE_MISMATCH
-    else:
-        kind = MismatchKind.RETURN_TYPE_MISMATCH
-    return kind, info, nearest
+    return _mismatch(call, nearest, widening), info, nearest
 
 
 def method_called(
@@ -589,10 +569,9 @@ def method_called(
 
     A call matching any overload yields no report.  Otherwise the nearest
     candidate (same arity preferred, then declaration order) is blamed and
-    the kind is the first failing check in the order arity, parameter
-    types, return type; a call with any unresolved argument is reported as
-    UnresolvedArgument.  Constructor calls on classes that are not present
-    are allowed silently.  Reports are ordered by location.
+    the kind is the first check it fails, in the order unresolved argument,
+    arity, parameter types, return type.  Constructor calls on classes that
+    are not present are allowed silently.  Reports are ordered by location.
 
     Each distinct call shape (receiver, method name, argument types,
     expected return) is decided once per call of this function; every

@@ -3,8 +3,8 @@
 Source text of the subject-language subset is lexed and parsed into a tree
 of :class:`AsltNode`; the tree can be pretty-printed back to source, dumped
 to the line-oriented ``.aslt`` file format, and re-read from it.  Both
-round trips preserve the full structure (spans excepted), so no information
-is lost in either direction.
+round trips preserve the full structure (positions excepted), so no
+information is lost in either direction.
 
 The supported grammar::
 
@@ -134,34 +134,36 @@ class AsltFormatError(AsltError):
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Span:
-    """Where a node came from; read-only by convention, never assigned once built."""
+class Location:
+    """Where a node, call or report starts; read-only by convention, never assigned once built."""
 
     file: str
-    start_line: int
-    start_column: int
-    end_line: int
-    end_column: int
+    line: int
+    column: int
+
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.column}"
 
 
 @dataclass(slots=True)
 class AsltNode:
     """One tree node: a kind, string attributes, and owned children.
 
-    Spans are provenance and excluded from equality, so structural
-    comparison is "modulo spans" by construction.  Unhashable, since the
-    attributes dict takes part in equality.  Read-only by convention: only
-    :func:`read_aslt` assigns a field after construction, the ``children``
-    of a node it still holds open.  The attributes dict is read-only too:
-    the nodes of one tree that have equal attributes may hold the same dict,
-    so an edited copy is made with ``dataclasses.replace(node,
+    The ``span`` is where the node starts, in the source or ``.aslt`` file
+    it was read from.  It is provenance and excluded from equality, so
+    structural comparison ignores positions by construction.  Unhashable,
+    since the attributes dict takes part in equality.  Read-only by
+    convention: only :func:`read_aslt` assigns a field after construction,
+    the ``children`` of a node it still holds open.  The attributes dict is
+    read-only too: the nodes of one tree that have equal attributes may hold
+    the same dict, so an edited copy is made with ``dataclasses.replace(node,
     attributes={**node.attributes, ...})``.
     """
 
     kind: str
     attributes: dict[str, str] = field(default_factory=dict)
     children: tuple["AsltNode", ...] = ()
-    span: Span | None = field(default=None, compare=False)
+    span: Location | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
@@ -389,20 +391,18 @@ class _Parser:
     def node(
         self, kind: str, attributes: dict[str, str], children: tuple[AsltNode, ...], start: Token
     ) -> AsltNode:
-        """A node spanning from ``start`` to the end of the last token taken.
+        """A node whose span is where ``start`` begins.
 
         The node holds ``attributes`` itself, the same dict, not a copy.
         Made with ``object.__new__`` and plain attribute stores, as
         :func:`read_aslt` makes its nodes: the parser passes only this
         module's kind constants, so the constructor's kind check is skipped.
         """
-        last = self.tokens[self.pos - 1]
         node = object.__new__(AsltNode)
         node.kind = kind
         node.attributes = attributes
         node.children = children
-        end_column = last.column + len(last.lexeme)
-        node.span = Span(self.file_name, start.line, start.column, last.line, end_column)
+        node.span = Location(self.file_name, start.line, start.column)
         return node
 
     # --- grammar ---
@@ -655,8 +655,8 @@ class _Parser:
 def parse_source(source: str, file_name: str = "") -> AsltNode:
     """Parse subject-language source into a CompilationUnit tree.
 
-    Every node carries a source span; expression-level nodes use exactly the
-    configured kind vocabulary.
+    Every node's span is the line and column of its first token;
+    expression-level nodes use exactly the configured kind vocabulary.
     """
     return _Parser(tokenize(source), file_name).compilation_unit()
 
@@ -804,7 +804,7 @@ def _member_source(node: AsltNode, depth: int) -> list[str]:
 def print_source(tree: AsltNode) -> str:
     """Render a tree back to deterministic source text.
 
-    Reparsing the output yields a structurally equal tree (spans aside).
+    Reparsing the output yields a structurally equal tree (positions aside).
     """
     if tree.kind != COMPILATION_UNIT:
         raise _shape_error(tree, "printing starts at a CompilationUnit")
@@ -921,7 +921,7 @@ _UNSEEN = object()
 def read_aslt(text: str, file_name: str = "") -> AsltNode:
     """Parse ``.aslt`` text back into a tree (inverse of :func:`write_aslt`).
 
-    Node spans are anchored to the ``.aslt`` line each node came from.  The
+    Each node's span is column 1 of the ``.aslt`` line it came from.  The
     lines are read in one pass, and each node is closed as soon as a line
     at its depth or shallower follows.  A bad line, one that
     :func:`_parse_aslt_line` refuses or whose indentation is odd or too
@@ -986,7 +986,7 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
         node = new(AsltNode)
         node.kind = kind
         node.attributes = attributes
-        node.span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
+        node.span = Location(file_name, line_number, 1)
         if depth:
             children[-1].append(node)
         nodes.append(node)
@@ -1016,7 +1016,7 @@ def check_names(tree: AsltNode) -> None:
         stack += node.children[::-1]
         if node.kind not in named:
             continue
-        line_number = node.span.start_line if node.span is not None else 0
+        line_number = node.span.line if node.span is not None else 0
         name = node.attributes.get("name", "")
         if not name:
             raise AsltFormatError(line_number, f"a {node.kind} needs a non-empty name")

@@ -12,7 +12,6 @@ from compatcheck.analysis import (
     UNCONSTRAINED,
     UNRESOLVED,
     CallSite,
-    Location,
     MismatchKind,
     MismatchReport,
     Scope,
@@ -38,7 +37,7 @@ from compatcheck.aslt import (
     VARIABLE_DECLARATION,
     AsltFormatError,
     AsltNode,
-    Span,
+    Location,
     _parse_aslt_line,
 )
 from compatcheck.classfile import ClassInfo, Diagnostic, TypeName
@@ -357,7 +356,7 @@ def oracle_method_calls(tree: AsltNode, classes: list[ClassInfo]) -> list[CallSi
         else:
             return
         span = node.span
-        location = Location(span.file, span.start_line, span.start_column) if span else Location("", 0, 0)
+        location = Location(span.file, span.line, span.column) if span else Location("", 0, 0)
         types = tuple(argument_type(argument, scope) for argument in arguments)
         calls.append(CallSite(scope.class_name, scope.method_name, target, name, types, expected, location))
         for argument in arguments:
@@ -410,9 +409,9 @@ def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
 
     It shares ``_parse_aslt_line`` with the package, whose own fuzz test
     checks it; what this reference pins is the order of the checks, the
-    structure and the spans."""
+    structure and the node positions."""
     parsed: dict[str, tuple[str, dict[str, str]]] = {}
-    entries: list[tuple[int, str, dict[str, str], Span]] = []
+    entries: list[tuple[int, str, dict[str, str], Location]] = []
     for line_number, raw in enumerate(text.split("\n"), start=1):
         rest = raw.lstrip(" ")
         if not rest or rest.isspace():
@@ -427,16 +426,16 @@ def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
             kind, attributes = parsed[rest] = _parse_aslt_line(rest, line_number)
         else:
             kind, attributes = seen[0], seen[1].copy()
-        span = Span(file_name, line_number, 1, line_number, len(raw) + 1)
+        span = Location(file_name, line_number, 1)
         entries.append((indent // 2, kind, attributes, span))
     if not entries:
         raise AsltFormatError(1, "no nodes")
     if entries[0][0] != 0:
-        raise AsltFormatError(entries[0][3].start_line, "the root node must not be indented")
+        raise AsltFormatError(entries[0][3].line, "the root node must not be indented")
 
     # The nodes still open, outermost first (the one at index i is at depth
     # i), each with the children read so far.
-    open_nodes: list[tuple[str, dict[str, str], Span, list[AsltNode]]] = []
+    open_nodes: list[tuple[str, dict[str, str], Location, list[AsltNode]]] = []
 
     def close_node() -> None:
         kind, attributes, span, children = open_nodes.pop()
@@ -444,9 +443,9 @@ def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
 
     for depth, kind, attributes, span in entries:
         if open_nodes and depth == 0:
-            raise AsltFormatError(span.start_line, "more than one root node")
+            raise AsltFormatError(span.line, "more than one root node")
         if depth > len(open_nodes):
-            raise AsltFormatError(span.start_line, "indentation jumps more than one level")
+            raise AsltFormatError(span.line, "indentation jumps more than one level")
         while len(open_nodes) > depth:
             close_node()
         open_nodes.append((kind, attributes, span, []))

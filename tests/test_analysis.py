@@ -36,6 +36,7 @@ from oracles import (
     oracle_find_class,
     oracle_lookup_binding,
     oracle_method_calls,
+    oracle_preorder,
     oracle_reports,
 )
 from randgen import oracle_calls, oracle_classes, random_callee_classes, random_program_tree
@@ -511,6 +512,58 @@ def test_nested_calls_in_source_order():
         "class A { void m() { b.f(c.g(), d.h()); } }", []
     )
     assert [c.invoked_name for c in calls] == ["f", "g", "h"]
+
+
+def _trees_with_calls():
+    """Parsed units with calls in every position, and each read back from its .aslt text."""
+    rng = random.Random(0x10CA)
+    sources = [SAMPLE_CALLER_SOURCE, "class A { B b = new B(); void m() { b.f(c.g(), new D(1)); } }"]
+    sources += [print_source(random_program_tree(rng)) for _ in range(100)]
+    for source in sources:
+        tree = parse_source(source, file_name="A.java")
+        yield tree
+        yield read_aslt(write_aslt(tree), file_name="A.aslt")
+
+
+def test_calls_and_reports_share_their_node_location():
+    table = index_classes([])  # every method call is then an UnknownClass report
+    calls_seen = reports_seen = 0
+    for tree in _trees_with_calls():
+        call_nodes = {
+            id(node.span): node
+            for node in oracle_preorder(tree)
+            if node.kind in (aslt.METHOD_INVOKE_EXPRESSION, aslt.NEW_OBJECT_EXPRESSION)
+        }
+        bindings, _ = get_all_variables_types(tree)
+        calls = get_all_method_calls(tree, bindings, table)
+        for call in calls:
+            node = call_nodes[id(call.location)]
+            assert call.location is node.span
+            if node.kind == aslt.METHOD_INVOKE_EXPRESSION:
+                assert call.invoked_name == node.attributes["name"]
+            for report in method_called([call], table):
+                assert report.location is call.location
+                reports_seen += 1
+        assert len({id(call.location) for call in calls}) == len(calls)
+        calls_seen += len(calls)
+    assert calls_seen > 150 and reports_seen > 50
+
+
+def _without_positions(node):
+    return aslt.AsltNode(
+        node.kind, node.attributes, tuple(_without_positions(child) for child in node.children)
+    )
+
+
+def test_calls_of_nodes_without_a_position_share_one_empty_location():
+    calls = []
+    for tree in _trees_with_calls():
+        tree = _without_positions(tree)
+        bindings, _ = get_all_variables_types(tree)
+        calls += get_all_method_calls(tree, bindings, index_classes([]))
+    assert len(calls) > 150
+    assert {call.location for call in calls} == {Location("", 0, 0)}
+    assert len({id(call.location) for call in calls}) == 1
 
 
 def _assert_calls_match_the_oracle(unit, classes):

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from compatcheck import aslt, cli
-from compatcheck.analysis import UNCONSTRAINED, CallSite, Location, MismatchKind, MismatchReport
+from compatcheck.analysis import UNCONSTRAINED, CallSite, MismatchKind, MismatchReport
 from compatcheck.aslt import (
     AsltFormatError,
     AsltNode,
     LexicalError,
-    Span,
+    Location,
     MalformedTreeError,
     ParseError,
     Token,
@@ -317,14 +317,7 @@ def test_span_sanity_children_inside_parents():
     def check(node):
         assert node.span is not None
         for child in node.children:
-            assert (child.span.start_line, child.span.start_column) >= (
-                node.span.start_line,
-                node.span.start_column,
-            )
-            assert (child.span.end_line, child.span.end_column) <= (
-                node.span.end_line,
-                node.span.end_column,
-            )
+            assert (child.span.line, child.span.column) >= (node.span.line, node.span.column)
             check(child)
 
     check(tree)
@@ -455,9 +448,8 @@ def test_write_is_deterministic():
 
 def test_read_sets_line_anchored_spans():
     tree = read_aslt('CompilationUnit file="X"\n  ClassDeclaration name="A"\n', file_name="x.aslt")
-    assert tree.span.file == "x.aslt"
-    assert tree.span.start_line == 1
-    assert tree.children[0].span.start_line == 2
+    assert tree.span == Location("x.aslt", 1, 1)
+    assert tree.children[0].span == Location("x.aslt", 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -562,9 +554,9 @@ def test_repeated_lines_give_equal_nodes_that_share_their_attributes():
     assert first.attributes is second.attributes
     assert nested.attributes is not first.attributes
     assert [n.span for n in (first, second, nested)] == [
-        Span("T.aslt", 2, 1, 2, 28),
-        Span("T.aslt", 3, 1, 3, 28),
-        Span("T.aslt", 4, 1, 4, 30),
+        Location("T.aslt", 2, 1),
+        Location("T.aslt", 3, 1),
+        Location("T.aslt", 4, 1),
     ]
     # A second read of the same text gets dicts of its own.
     again = read_aslt(text, file_name="T.aslt")
@@ -705,7 +697,7 @@ def test_a_whitespace_only_line_that_repeats():
     text = "CompilationUnit\n" + gap + "  Block\n" + gap + "  Block\n" + gap + "   \n   \n"
     outcome = _assert_reads_as_the_oracle(text)
     assert outcome[1] == AsltNode(aslt.COMPILATION_UNIT, {}, (AsltNode(aslt.BLOCK),) * 2)
-    assert [span.start_line for span in outcome[2]] == [1, 3, 5]
+    assert [span.line for span in outcome[2]] == [1, 3, 5]
     assert _assert_reads_as_the_oracle(gap * 3 + "\t\n" * 2) == ("error", 1, "line 1: no nodes")
     assert _assert_reads_as_the_oracle(gap * 2 + " Block\n") == (
         "error", 3, "line 3: indentation must be a multiple of two spaces"
@@ -875,17 +867,15 @@ def test_token_dataclass_shape():
 # ---------------------------------------------------------------------------
 
 def test_records_are_slotted():
-    span = Span("A.java", 1, 1, 1, 2)
     location = Location("A.java", 1, 1)
     call = CallSite("A", "m", TypeName("B"), "f", (), UNCONSTRAINED, location)
     report = MismatchReport(
         MismatchKind.UNKNOWN_CLASS, "A", None, "f", None, None, None, None, location
     )
     records = (
-        span,
-        AsltNode(aslt.BLOCK, {}, (), span),
-        Token("identifier", "x", 1, 1),
         location,
+        AsltNode(aslt.BLOCK, {}, (), location),
+        Token("identifier", "x", 1, 1),
         call,
         report,
     )
@@ -896,8 +886,8 @@ def test_records_are_slotted():
 
 
 def test_node_equality_ignores_span():
-    a = AsltNode(aslt.BLOCK, {}, (), Span("A.java", 1, 1, 1, 2))
-    b = AsltNode(aslt.BLOCK, {}, (), Span("B.aslt", 7, 3, 9, 4))
+    a = AsltNode(aslt.BLOCK, {}, (), Location("A.java", 1, 1))
+    b = AsltNode(aslt.BLOCK, {}, (), Location("B.aslt", 7, 3))
     assert a == b
     assert a == AsltNode(aslt.BLOCK)
     assert a != AsltNode(aslt.BLOCK, {"name": "x"}, (), a.span)
@@ -910,8 +900,8 @@ def test_node_attributes_default_to_a_fresh_dict():
 
 
 def test_records_support_dataclasses_replace():
-    span = Span("A.java", 1, 2, 3, 4)
-    assert dataclasses.replace(span, end_column=9) == Span("A.java", 1, 2, 3, 9)
+    span = Location("A.java", 1, 2)
+    assert dataclasses.replace(span, column=9) == Location("A.java", 1, 9)
     token = Token("identifier", "x", 1, 2)
     assert dataclasses.replace(token, lexeme="yz") == Token("identifier", "yz", 1, 2)
     node = AsltNode(aslt.BLOCK, {"name": "a"}, (AsltNode(aslt.BLOCK),), span)
@@ -928,12 +918,10 @@ def test_nodes_built_without_attributes_get_a_dict_each():
 
 
 def test_records_keep_their_dataclass_repr_fields_and_hash():
-    span = Span("A.java", 1, 2, 3, 4)
+    span = Location("A.java", 1, 2)
     token = Token("identifier", "x", 1, 2)
     node = AsltNode(aslt.BLOCK)
-    assert repr(span) == (
-        "Span(file='A.java', start_line=1, start_column=2, end_line=3, end_column=4)"
-    )
+    assert repr(span) == "Location(file='A.java', line=1, column=2)"
     assert repr(token) == "Token(category='identifier', lexeme='x', line=1, column=2)"
     assert repr(node) == "AsltNode(kind='Block', attributes={}, children=(), span=None)"
 
@@ -944,9 +932,8 @@ def test_records_keep_their_dataclass_repr_fields_and_hash():
         ]
 
     missing = dataclasses.MISSING
-    assert shape(Span) == [
-        (name, missing, missing, True, True)
-        for name in ("file", "start_line", "start_column", "end_line", "end_column")
+    assert shape(Location) == [
+        (name, missing, missing, True, True) for name in ("file", "line", "column")
     ]
     assert shape(Token) == [
         (name, missing, missing, True, True) for name in ("category", "lexeme", "line", "column")
@@ -957,7 +944,7 @@ def test_records_keep_their_dataclass_repr_fields_and_hash():
         ("children", (), missing, True, True),
         ("span", None, missing, False, True),
     ]
-    assert hash(span) == hash(("A.java", 1, 2, 3, 4))
+    assert hash(span) == hash(("A.java", 1, 2))
     assert hash(token) == hash(("identifier", "x", 1, 2))
     with pytest.raises(TypeError):
         hash(node)  # the attributes dict takes part in equality
@@ -973,31 +960,31 @@ def test_parsed_spans_are_unchanged():
         for node in oracle_preorder(parse_source(source, file_name="A.java"))
     ]
     assert spans == [
-        (kind, Span("A.java", *position))
+        (kind, Location("A.java", *position))
         for kind, *position in [
-            (aslt.COMPILATION_UNIT, 1, 1, 7, 2),
-            (aslt.CLASS_DECLARATION, 1, 1, 7, 2),
-            (aslt.FIELD_DECLARATION, 2, 5, 2, 19),
-            (aslt.TYPE_REFERENCE, 2, 5, 2, 6),
-            (aslt.NEW_OBJECT_EXPRESSION, 2, 11, 2, 18),
-            (aslt.TYPE_REFERENCE, 2, 15, 2, 16),
-            (aslt.ARGUMENT_LIST, 2, 16, 2, 18),
-            (aslt.METHOD_DECLARATION, 3, 5, 6, 6),
-            (aslt.TYPE_REFERENCE, 3, 5, 3, 8),
-            (aslt.PARAMETER_DECLARATION, 3, 11, 3, 19),
-            (aslt.TYPE_REFERENCE, 3, 11, 3, 17),
-            (aslt.BLOCK, 3, 21, 6, 6),
-            (aslt.EXPRESSION_STATEMENT, 4, 9, 4, 28),
-            (aslt.METHOD_INVOKE_EXPRESSION, 4, 9, 4, 27),
-            (aslt.IDENTIFIER_EXPRESSION, 4, 9, 4, 10),
-            (aslt.ARGUMENT_LIST, 4, 14, 4, 27),
-            (aslt.LITERAL_TAG, 4, 15, 4, 21),  # "a\"b" ends after its closing quote
-            (aslt.LITERAL_TAG, 4, 23, 4, 26),
-            (aslt.RETURN_STATEMENT, 5, 9, 5, 25),
-            (aslt.METHOD_INVOKE_EXPRESSION, 5, 16, 5, 24),
-            (aslt.IDENTIFIER_EXPRESSION, 5, 16, 5, 17),
-            (aslt.ARGUMENT_LIST, 5, 21, 5, 24),
-            (aslt.IDENTIFIER_EXPRESSION, 5, 22, 5, 23),
+            (aslt.COMPILATION_UNIT, 1, 1),
+            (aslt.CLASS_DECLARATION, 1, 1),
+            (aslt.FIELD_DECLARATION, 2, 5),
+            (aslt.TYPE_REFERENCE, 2, 5),
+            (aslt.NEW_OBJECT_EXPRESSION, 2, 11),
+            (aslt.TYPE_REFERENCE, 2, 15),
+            (aslt.ARGUMENT_LIST, 2, 16),
+            (aslt.METHOD_DECLARATION, 3, 5),
+            (aslt.TYPE_REFERENCE, 3, 5),
+            (aslt.PARAMETER_DECLARATION, 3, 11),
+            (aslt.TYPE_REFERENCE, 3, 11),
+            (aslt.BLOCK, 3, 21),
+            (aslt.EXPRESSION_STATEMENT, 4, 9),
+            (aslt.METHOD_INVOKE_EXPRESSION, 4, 9),
+            (aslt.IDENTIFIER_EXPRESSION, 4, 9),
+            (aslt.ARGUMENT_LIST, 4, 14),
+            (aslt.LITERAL_TAG, 4, 15),
+            (aslt.LITERAL_TAG, 4, 23),
+            (aslt.RETURN_STATEMENT, 5, 9),
+            (aslt.METHOD_INVOKE_EXPRESSION, 5, 16),
+            (aslt.IDENTIFIER_EXPRESSION, 5, 16),
+            (aslt.ARGUMENT_LIST, 5, 21),
+            (aslt.IDENTIFIER_EXPRESSION, 5, 22),
         ]
     ]
 
@@ -1029,20 +1016,26 @@ def test_reserved_lexemes_have_one_category():
 
 
 def test_parse_builds_one_span_per_node(monkeypatch):
+    # Parsing and reading each build one Location per node.
     made = []
 
-    class CountingSpan(Span):
+    class CountingLocation(Location):
         __slots__ = ()
 
         def __init__(self, *fields):
             made.append(None)
             super().__init__(*fields)
 
-    monkeypatch.setattr(aslt, "Span", CountingSpan)
+    monkeypatch.setattr(aslt, "Location", CountingLocation)
     for source in _sample_sources():
         made.clear()
         tree = parse_source(source, file_name="F.java")
-        assert len(made) == sum(1 for _ in oracle_preorder(tree))
+        nodes = len(oracle_preorder(tree))
+        assert len(made) == nodes
+        text = write_aslt(tree)
+        made.clear()
+        read_aslt(text, file_name="F.aslt")
+        assert len(made) == nodes
 
 
 _MUTATION_LEXEMES = (
