@@ -515,7 +515,7 @@ def test_nested_calls_in_source_order():
 
 
 def _trees_with_calls():
-    """Parsed units with calls in every position, and each read back from its .aslt text."""
+    """Parsed units with calls, each followed by its tree read back from .aslt text."""
     rng = random.Random(0x10CA)
     sources = [SAMPLE_CALLER_SOURCE, "class A { B b = new B(); void m() { b.f(c.g(), new D(1)); } }"]
     sources += [print_source(random_program_tree(rng)) for _ in range(100)]
@@ -537,8 +537,8 @@ def test_calls_and_reports_share_their_node_location():
         bindings, _ = get_all_variables_types(tree)
         calls = get_all_method_calls(tree, bindings, table)
         for call in calls:
-            node = call_nodes[id(call.location)]
-            assert call.location is node.span
+            node = call_nodes.get(id(call.location))
+            assert node is not None and call.location is node.span
             if node.kind == aslt.METHOD_INVOKE_EXPRESSION:
                 assert call.invoked_name == node.attributes["name"]
             for report in method_called([call], table):
