@@ -219,7 +219,8 @@ def duplicate_classes(
 
 def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInfo:
     """Derive the compiled surface a compiler would produce for a unit's
-    first class: declared members plus an implicit no-argument constructor."""
+    first class, named as :func:`class_names` names it: declared members
+    plus an implicit no-argument constructor."""
     class_node = unit.first(aslt.CLASS_DECLARATION)
     if class_node is None:
         raise ValueError("compilation unit contains no class declaration")
@@ -249,7 +250,7 @@ def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInf
                 )
             )
     return ClassInfo(
-        qualified_name=class_node.attributes.get("name", ""),
+        qualified_name=class_names(unit)[0],
         superclass_name=superclass,
         interface_names=interfaces,
         fields=tuple(fields),

@@ -914,8 +914,8 @@ def _parse_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
     return kind, attributes
 
 
-# What a line not yet read maps to in read_aslt's memo.
-_UNSEEN = object()
+# What a blank line maps to in read_aslt's memo: a depth no node line has.
+_BLANK = (-1, "", None)
 
 
 def read_aslt(text: str, file_name: str = "") -> AsltNode:
@@ -933,18 +933,20 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     Each distinct raw line, indentation included, is read once per call: a
     line that repeats it reuses its depth, its kind and the same attributes
     dict, so the nodes of those lines share one dict, which no other call
-    hands out.  A line that fails is never stored, so each error keeps its
-    own line number and message.
+    hands out.  A blank line is stored as the entry ``(-1, "", None)``, so
+    a repeated line of any kind costs one dict lookup.  A line that fails
+    is never stored, so each error keeps its own line number and message.
 
-    Nodes are made with ``object.__new__`` and plain attribute stores:
-    :func:`_parse_aslt_line` has already checked each kind, so the
-    constructor's check is skipped.  A node's ``children`` are stored when
-    it closes.
+    Nodes and their spans are made with ``object.__new__`` and plain
+    attribute stores: :func:`_parse_aslt_line` has already checked each
+    kind, so the constructor's check is skipped.  A node's ``children`` are
+    stored when it closes.
     """
-    seen: dict[str, tuple[int, str, dict[str, str]] | None] = {}
+    seen: dict[str, tuple[int, str, dict[str, str] | None]] = {}
     # The nodes still open, outermost first (the one at index i is at depth
-    # i), and beside each the children read so far.
+    # i), their number, and beside each node the children read so far.
     nodes: list[AsltNode] = []
+    open_nodes = 0
     children: list[list[AsltNode]] = []
     # The first fault in the structure, as a line number and a message: an
     # exception held in a local would make a reference cycle through its
@@ -952,11 +954,15 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     fault: tuple[int, str] | None = None
     new = object.__new__
     for line_number, raw in enumerate(text.split("\n"), start=1):
-        known = seen.get(raw, _UNSEEN)
-        if known is _UNSEEN:
+        known = seen.get(raw)
+        if known is not None:
+            depth, kind, attributes = known
+            if depth < 0:
+                continue
+        else:
             rest = raw.lstrip(" ")
             if not rest or rest.isspace():
-                seen[raw] = None
+                seen[raw] = _BLANK
                 continue
             indent = len(raw) - len(rest)
             if indent % 2:
@@ -966,14 +972,10 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
                 raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
             kind, attributes = _parse_aslt_line(rest, line_number)
             seen[raw] = depth, kind, attributes
-        elif known is None:
-            continue  # a blank line
-        else:
-            depth, kind, attributes = known
         if fault is not None:
             continue
-        if depth > len(nodes) or (depth == 0 and nodes):
-            if not nodes:
+        if depth > open_nodes or (depth == 0 and open_nodes):
+            if not open_nodes:
                 message = "the root node must not be indented"
             elif depth:
                 message = "indentation jumps more than one level"
@@ -981,16 +983,21 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
                 message = "more than one root node"
             fault = line_number, message
             continue
-        while len(nodes) > depth:
+        while open_nodes > depth:
             nodes.pop().children = tuple(children.pop())
+            open_nodes -= 1
         node = new(AsltNode)
         node.kind = kind
         node.attributes = attributes
-        node.span = Location(file_name, line_number, 1)
+        node.span = span = new(Location)
+        span.file = file_name
+        span.line = line_number
+        span.column = 1
         if depth:
             children[-1].append(node)
         nodes.append(node)
         children.append([])
+        open_nodes += 1
     if fault is not None:
         raise AsltFormatError(*fault)
     if not nodes:
@@ -1001,29 +1008,46 @@ def read_aslt(text: str, file_name: str = "") -> AsltNode:
     return root
 
 
+def _name_fault(node: AsltNode) -> str | None:
+    """Why the analysis cannot name a ClassDeclaration or TypeReference, or None."""
+    name = node.attributes.get("name")
+    if not name:
+        return f"a {node.kind} needs a non-empty name"
+    if node.kind == TYPE_REFERENCE:
+        try:
+            dims = _array_dims(node)
+        except ValueError as exc:
+            return str(exc)
+        if name == "void" and dims:
+            return "void cannot be an array element type"
+    return None
+
+
 def check_names(tree: AsltNode) -> None:
     """Reject a tree with a class or type that the analysis cannot name.
 
     :func:`read_aslt` accepts any attribute values, so that every tree round
     trips; a tree read for analysis must pass this check as well.  The error
     gives the line of the offending node, taken from its span.
+
+    Two loops: the first visits every node in no set order and returns when
+    none fails, as for every valid tree.  Only when some node fails does the
+    second walk in preorder, to blame the first failing node there.
     """
-    # Preorder with its own stack: no recursion, and no generator to resume per node.
     named = (CLASS_DECLARATION, TYPE_REFERENCE)
+    nodes = [tree]
+    for node in nodes:
+        nodes += node.children
+        if node.kind in named and _name_fault(node) is not None:
+            break
+    else:
+        return
+    # Preorder with its own stack: no recursion, and no generator to resume per node.
     stack = [tree]
     while stack:
         node = stack.pop()
         stack += node.children[::-1]
-        if node.kind not in named:
-            continue
-        line_number = node.span.line if node.span is not None else 0
-        name = node.attributes.get("name", "")
-        if not name:
-            raise AsltFormatError(line_number, f"a {node.kind} needs a non-empty name")
-        if node.kind == TYPE_REFERENCE:
-            try:
-                dims = _array_dims(node)
-            except ValueError as exc:
-                raise AsltFormatError(line_number, str(exc)) from None
-            if name == "void" and dims:
-                raise AsltFormatError(line_number, "void cannot be an array element type")
+        if node.kind in named:
+            message = _name_fault(node)
+            if message is not None:
+                raise AsltFormatError(node.span.line if node.span is not None else 0, message)

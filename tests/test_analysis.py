@@ -27,6 +27,7 @@ from compatcheck.classfile import (
     MethodSignature,
     TypeName,
     emit_classfile,
+    parse_classfile,
     scan_classfiles,
 )
 from compatcheck.cli import gen_testbed
@@ -1400,3 +1401,13 @@ def test_the_first_declaration_of_a_qualified_class_name_stands():
         ("P.java", "duplicate class 'p.A', first declared in P.java"),
     ]
     assert first_declared == {"p.B": "Q.java", "p.A": "P.java"}
+
+
+@pytest.mark.parametrize(
+    "source, name", [("package p.q; class B { int get() { } }", "p.q.B"), ("class B { }", "B")]
+)
+def test_class_info_from_tree_names_the_class_as_class_names_does(source, name):
+    unit = parse_source(source, file_name="B.java")
+    info = analysis.class_info_from_tree(unit)
+    assert info.qualified_name == name == analysis.class_names(unit)[0]
+    assert parse_classfile(emit_classfile(info)).qualified_name == name

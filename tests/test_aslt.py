@@ -852,6 +852,21 @@ def test_check_names_raises_the_first_error_in_preorder():
     assert several > 20
 
 
+def test_check_names_blames_a_deeper_node_that_comes_first_in_preorder():
+    # Visited level by level, the nameless class on line 5 comes before the
+    # type on line 4; in preorder the type comes first, and it is blamed.
+    text = (
+        'CompilationUnit\n  ClassDeclaration name="A"\n    FieldDeclaration name="a"\n'
+        '      TypeReference dims="256" name="int"\n  ClassDeclaration name=""\n'
+    )
+    with pytest.raises(AsltFormatError) as exc:
+        aslt.check_names(read_aslt(text))
+    assert str(exc.value) == "line 4: dims must be at most 255, in at most three digits"
+    with pytest.raises(AsltFormatError) as exc:
+        aslt.check_names(read_aslt(text.replace(' dims="256"', "")))
+    assert str(exc.value) == "line 5: a ClassDeclaration needs a non-empty name"
+
+
 def test_node_constructor_rejects_unknown_kind():
     with pytest.raises(ValueError):
         AsltNode("FreeFormKind")
@@ -1016,15 +1031,17 @@ def test_reserved_lexemes_have_one_category():
 
 
 def test_parse_builds_one_span_per_node(monkeypatch):
-    # Parsing and reading each build one Location per node.
+    # Parsing and reading each build one Location per node.  Each record
+    # stores its file once, whether a constructor or slot stores build it.
     made = []
 
     class CountingLocation(Location):
         __slots__ = ()
 
-        def __init__(self, *fields):
-            made.append(None)
-            super().__init__(*fields)
+        def __setattr__(self, name, value):
+            if name == "file":
+                made.append(None)
+            super().__setattr__(name, value)
 
     monkeypatch.setattr(aslt, "Location", CountingLocation)
     for source in _sample_sources():

@@ -799,6 +799,9 @@ def test_a_run_leaves_no_cyclic_garbage(tmp_path, collector_state):
     inject_fault(faulted)
     (faulted / "Broken.java").write_text("class Broken { void m() { f( } }", encoding="utf-8")
     (faulted / "Odd.aslt").write_text("CompilationUnit\n    Block\n", encoding="utf-8")
+    # A line the reader refuses on first sight, and a tree that reads but fails check_names.
+    (faulted / "BadLine.aslt").write_text("CompilationUnit\n  Bogus\n", encoding="utf-8")
+    (faulted / "Nameless.aslt").write_text('CompilationUnit\n  ClassDeclaration name=""\n', encoding="utf-8")
     for source in trees_only.glob("*.java"):
         tree = aslt.parse_source(source.read_text(encoding="utf-8"), file_name=source.name)
         source.with_suffix(".aslt").write_text(aslt.write_aslt(tree), encoding="utf-8")
