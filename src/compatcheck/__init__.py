@@ -27,7 +27,6 @@ from .aslt import (
     Location,
     Token,
     parse_source,
-    print_source,
     read_aslt,
     tokenize,
     write_aslt,
@@ -92,7 +91,6 @@ __all__ = [
     "parse_descriptor",
     "parse_properties",
     "parse_source",
-    "print_source",
     "read_aslt",
     "render_json",
     "render_properties",

@@ -190,6 +190,14 @@ def _declared_type(node: AsltNode) -> TypeName | None:
     return source_type_name(type_node) if type_node is not None else None
 
 
+def _supertype_name(name: str, prefix: str) -> str:
+    """A supertype as the compiler names it: a default import through
+    :func:`canonical_name`, a dotted name as written, and a simple name
+    after ``prefix``, the package of the class that names it."""
+    name = canonical_name(name)
+    return name if "." in name else prefix + name
+
+
 def class_names(unit: AsltNode) -> list[str]:
     """The package-qualified name of each class the unit declares, in source order."""
     package = unit.first(aslt.PACKAGE_DECLARATION)
@@ -219,15 +227,17 @@ def duplicate_classes(
 
 def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInfo:
     """Derive the compiled surface a compiler would produce for a unit's
-    first class, named as :func:`class_names` names it: declared members
-    plus an implicit no-argument constructor."""
+    first class, its types named as :func:`class_names` and :func:`_supertype_name`
+    name them: declared members plus an implicit no-argument constructor."""
     class_node = unit.first(aslt.CLASS_DECLARATION)
     if class_node is None:
         raise ValueError("compilation unit contains no class declaration")
+    qualified_name = class_names(unit)[0]
+    prefix = qualified_name.removesuffix(class_node.attributes.get("name", ""))
     extends = class_node.attributes.get("extends")
-    superclass = canonical_name(extends) if extends else "java.lang.Object"
+    superclass = _supertype_name(extends, prefix) if extends else "java.lang.Object"
     implements = class_node.attributes.get("implements", "")
-    interfaces = tuple(canonical_name(n) for n in implements.split(",") if n)
+    interfaces = tuple(_supertype_name(n, prefix) for n in implements.split(",") if n)
     fields = []
     methods = [MethodSignature(CONSTRUCTOR_NAME, (), VOID)]
     for member in class_node.children:
@@ -250,7 +260,7 @@ def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInf
                 )
             )
     return ClassInfo(
-        qualified_name=class_names(unit)[0],
+        qualified_name=qualified_name,
         superclass_name=superclass,
         interface_names=interfaces,
         fields=tuple(fields),

@@ -19,6 +19,7 @@ from compatcheck.cli import gen_testbed, main, run_analysis
 from compatcheck.config import KNOWN_KEYS, load_config, parse_properties
 
 from oracles import oracle_preorder, oracle_reports
+from printer import print_source
 from randgen import (
     oracle_calls,
     oracle_classes,
@@ -196,13 +197,13 @@ class Corner extends Base implements api.Marker, Other {
     )
     for file_name, source in corpus:
         tree = aslt.parse_source(source, file_name=file_name)
-        assert aslt.parse_source(aslt.print_source(tree), file_name=file_name) == tree
+        assert aslt.parse_source(print_source(tree), file_name=file_name) == tree
         assert aslt.read_aslt(aslt.write_aslt(tree)) == tree
 
     rng = random.Random(0xA51)
     for _ in range(500):
         tree = random_program_tree(rng)
-        assert aslt.parse_source(aslt.print_source(tree), file_name=tree.attributes["file"]) == tree
+        assert aslt.parse_source(print_source(tree), file_name=tree.attributes["file"]) == tree
         assert aslt.read_aslt(aslt.write_aslt(tree)) == tree
     for _ in range(200):
         tree = random_serial_tree(rng)

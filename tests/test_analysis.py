@@ -20,7 +20,7 @@ from compatcheck.analysis import (
     method_called,
     resolve_argument_type,
 )
-from compatcheck.aslt import parse_source, print_source, read_aslt, write_aslt
+from compatcheck.aslt import parse_source, read_aslt, write_aslt
 from compatcheck.classfile import (
     VOID,
     ClassInfo,
@@ -40,6 +40,7 @@ from oracles import (
     oracle_preorder,
     oracle_reports,
 )
+from printer import print_source
 from randgen import oracle_calls, oracle_classes, random_callee_classes, random_program_tree
 
 STRING = TypeName("java.lang.String")
@@ -1411,3 +1412,20 @@ def test_class_info_from_tree_names_the_class_as_class_names_does(source, name):
     info = analysis.class_info_from_tree(unit)
     assert info.qualified_name == name == analysis.class_names(unit)[0]
     assert parse_classfile(emit_classfile(info)).qualified_name == name
+
+
+# javac 17 builds `package p.q; class B extends A implements I, x.J { }` as
+# p.q.B extends p.q.A implements p.q.I, x.J (checked with javap).
+@pytest.mark.parametrize(
+    "source, superclass, interfaces",
+    [
+        ("package p.q; class B extends A implements I, x.J { }", "p.q.A", ("p.q.I", "x.J")),
+        ("package p; class B extends Object implements y.K { }", "java.lang.Object", ("y.K",)),
+        ("package p; class B extends a.b.C { }", "a.b.C", ()),
+        ("class B extends A implements I { }", "A", ("I",)),
+    ],
+)
+def test_class_info_from_tree_qualifies_simple_supertypes_by_the_package(source, superclass, interfaces):
+    info = analysis.class_info_from_tree(parse_source(source, file_name="B.java"))
+    assert (info.superclass_name, info.interface_names) == (superclass, interfaces)
+    assert parse_classfile(emit_classfile(info)) == info

@@ -10,11 +10,9 @@ from compatcheck.aslt import (
     AsltNode,
     LexicalError,
     Location,
-    MalformedTreeError,
     ParseError,
     Token,
     parse_source,
-    print_source,
     read_aslt,
     tokenize,
     write_aslt,
@@ -22,6 +20,7 @@ from compatcheck.aslt import (
 from compatcheck.classfile import TypeName
 
 from oracles import oracle_preorder, oracle_read_aslt
+from printer import MalformedTreeError, print_source
 from randgen import random_program_tree, random_serial_tree
 
 SAMPLE_CALLER = """class SampleClassA {

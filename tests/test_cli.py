@@ -30,6 +30,7 @@ from compatcheck.cli import (
 )
 from compatcheck.config import ProjectConfig, load_config_file
 
+from printer import print_source
 from randgen import random_class_info, random_program_tree
 
 
@@ -711,7 +712,7 @@ def _random_project(root, seed):
         (root / f"{name}.class").write_bytes(emit_classfile(info))
     for index in range(3):
         tree = random_program_tree(rng, file_name=f"Random{index}.java")
-        (root / f"Random{index}.java").write_text(aslt.print_source(tree), encoding="utf-8")
+        (root / f"Random{index}.java").write_text(print_source(tree), encoding="utf-8")
 
 
 @pytest.mark.parametrize("project", ["pristine", "faulted", "aslt_only", "random"])
