@@ -14,7 +14,6 @@ from .analysis import (
     Scope,
     Unconstrained,
     Unresolved,
-    VariableBinding,
     get_all_method_calls,
     get_all_variables_types,
     index_classes,
@@ -77,7 +76,6 @@ __all__ = [
     "UNRESOLVED",
     "Unconstrained",
     "Unresolved",
-    "VariableBinding",
     "emit_classfile",
     "gen_testbed",
     "get_all_method_calls",

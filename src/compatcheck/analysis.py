@@ -88,10 +88,10 @@ UNCONSTRAINED = Unconstrained()
 
 @dataclass(frozen=True, slots=True)
 class Scope:
-    """Where a name is visible: a class declaration, told apart from a
-    same-named one by its ``class_position`` among the unit's classes, or one
-    method declaration in it, told apart from its overloads by its
-    ``position`` among the unit's members."""
+    """Where a name is visible: a class declaration, named with its package
+    and told apart from a same-named one by its ``class_position`` among the
+    unit's classes, or one method declaration in it, told apart from its
+    overloads by its ``position`` among the unit's members."""
 
     class_name: str
     method_name: str | None = None
@@ -104,16 +104,9 @@ class Scope:
         return self.class_name
 
 
-@dataclass(frozen=True, slots=True)
-class VariableBinding:
-    variable_name: str
-    declared_type: TypeName
-    scope: Scope
-
-
 # One unit's (class's position, method's position or None for fields, variable
-# name) -> binding.
-BindingIndex = dict[tuple[int, int | None, str], VariableBinding]
+# name) -> declared type.
+BindingIndex = dict[tuple[int, int | None, str], TypeName]
 # Qualified name -> the class, and its overloads by method name in declaration order.
 ClassIndex = dict[str, tuple[ClassInfo, dict[str, list[MethodSignature]]]]
 # An expression whose calls are still to be extracted, with its scope and
@@ -133,7 +126,6 @@ class CallSite:
     """
 
     caller_class: str
-    caller_method: str | None
     receiver_class: TypeName | Unresolved
     invoked_name: str
     argument_types: tuple[TypeName | Unresolved, ...]
@@ -198,10 +190,15 @@ def _supertype_name(name: str, prefix: str) -> str:
     return name if "." in name else prefix + name
 
 
+def _package_prefix(unit: AsltNode) -> str:
+    """The unit's package name and a dot, or nothing for the unnamed package."""
+    package = unit.first(aslt.PACKAGE_DECLARATION)
+    return package.attributes.get("name", "") + "." if package is not None else ""
+
+
 def class_names(unit: AsltNode) -> list[str]:
     """The package-qualified name of each class the unit declares, in source order."""
-    package = unit.first(aslt.PACKAGE_DECLARATION)
-    prefix = package.attributes.get("name", "") + "." if package is not None else ""
+    prefix = _package_prefix(unit)
     return [
         prefix + node.attributes.get("name", "")
         for node in unit.children
@@ -232,8 +229,8 @@ def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInf
     class_node = unit.first(aslt.CLASS_DECLARATION)
     if class_node is None:
         raise ValueError("compilation unit contains no class declaration")
-    qualified_name = class_names(unit)[0]
-    prefix = qualified_name.removesuffix(class_node.attributes.get("name", ""))
+    prefix = _package_prefix(unit)
+    qualified_name = prefix + class_node.attributes.get("name", "")
     extends = class_node.attributes.get("extends")
     superclass = _supertype_name(extends, prefix) if extends else "java.lang.Object"
     implements = class_node.attributes.get("implements", "")
@@ -274,11 +271,13 @@ def class_info_from_tree(unit: AsltNode, source_file_name: str = "") -> ClassInf
 # ---------------------------------------------------------------------------
 
 def _members(tree: AsltNode) -> Iterator[tuple[Scope, AsltNode]]:
-    """Each field and method declaration in source order, with its names' scope."""
+    """Each field and method declaration in source order, with its names'
+    scope, whose class is named as :func:`class_names` names it."""
+    prefix = _package_prefix(tree)
     classes = (node for node in tree.children if node.kind == aslt.CLASS_DECLARATION)
     position = 0
     for class_position, declaration in enumerate(classes):
-        class_name = declaration.attributes.get("name", "")
+        class_name = prefix + declaration.attributes.get("name", "")
         fields = Scope(class_name, class_position=class_position)
         for member in declaration.children:
             if member.kind == aslt.METHOD_DECLARATION:
@@ -313,7 +312,7 @@ def get_all_variables_types(tree: AsltNode) -> tuple[BindingIndex, list[Diagnost
                     Diagnostic(file_name, f"duplicate variable {name!r} in scope {scope}")
                 )
             else:
-                bindings[key] = VariableBinding(name, declared, scope)
+                bindings[key] = declared
 
     for scope, member in _members(tree):
         if member.kind == aslt.FIELD_DECLARATION:
@@ -344,12 +343,13 @@ def index_classes(classes: Iterable[ClassInfo]) -> ClassIndex:
     return index
 
 
-def _lookup_binding(name: str, bindings: BindingIndex, scope: Scope) -> VariableBinding | None:
-    """Innermost match: the method declaration first, then the class's fields."""
-    binding = bindings.get((scope.class_position, scope.position, name))
-    if binding is None and scope.position is not None:
-        binding = bindings.get((scope.class_position, None, name))
-    return binding
+def _lookup_binding(name: str, bindings: BindingIndex, scope: Scope) -> TypeName | None:
+    """The innermost binding's declared type: the method declaration first,
+    then the class's fields."""
+    declared = bindings.get((scope.class_position, scope.position, name))
+    if declared is None and scope.position is not None:
+        declared = bindings.get((scope.class_position, None, name))
+    return declared
 
 
 def _resolve_receiver(
@@ -361,9 +361,9 @@ def _resolve_receiver(
         return _type_name(scope.class_name, "0")
     receiver = node.children[0]
     name = receiver.attributes.get("name", "")
-    binding = _lookup_binding(name, bindings, scope)
-    if binding is not None:
-        return binding.declared_type
+    declared = _lookup_binding(name, bindings, scope)
+    if declared is not None:
+        return declared
     class_name = canonical_name(name)
     if class_name in classes:
         return _type_name(class_name, "0")
@@ -382,8 +382,7 @@ def resolve_argument_type(
     only when its target signature is unique.
     """
     if arg.kind == aslt.IDENTIFIER_EXPRESSION:
-        binding = _lookup_binding(arg.attributes.get("name", ""), bindings, scope)
-        return binding.declared_type if binding is not None else UNRESOLVED
+        return _lookup_binding(arg.attributes.get("name", ""), bindings, scope) or UNRESOLVED
     if arg.kind == aslt.LITERAL_TAG:
         return _LITERAL_TYPES.get(arg.attributes.get("category", ""), UNRESOLVED)
     if arg.kind == aslt.NEW_OBJECT_EXPRESSION:
@@ -460,7 +459,6 @@ def get_all_method_calls(
         calls.append(
             CallSite(
                 scope.class_name,
-                scope.method_name,
                 receiver,
                 invoked_name,
                 tuple(argument_types),
@@ -485,9 +483,8 @@ def _add_statement_roots(
         inner = node.children[0]
         if inner.kind == aslt.SIMPLE_ASSIGNMENT_EXPRESSION and len(inner.children) == 2:
             target, value = inner.children
-            binding = _lookup_binding(target.attributes.get("name", ""), bindings, scope)
-            expected = binding.declared_type if binding is not None else UNCONSTRAINED
-            roots.append((value, scope, expected))
+            expected = _lookup_binding(target.attributes.get("name", ""), bindings, scope)
+            roots.append((value, scope, expected or UNCONSTRAINED))
         else:
             roots.append((inner, scope, UNCONSTRAINED))
     elif node.kind == aslt.RETURN_STATEMENT and node.children:

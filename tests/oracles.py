@@ -8,6 +8,8 @@ widening pairs, no shared helpers with the implementation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from compatcheck.analysis import (
     UNCONSTRAINED,
     UNRESOLVED,
@@ -17,7 +19,6 @@ from compatcheck.analysis import (
     Scope,
     Unconstrained,
     Unresolved,
-    VariableBinding,
 )
 from compatcheck.aslt import (
     BLOCK,
@@ -30,6 +31,7 @@ from compatcheck.aslt import (
     METHOD_DECLARATION,
     METHOD_INVOKE_EXPRESSION,
     NEW_OBJECT_EXPRESSION,
+    PACKAGE_DECLARATION,
     PARAMETER_DECLARATION,
     RETURN_STATEMENT,
     SIMPLE_ASSIGNMENT_EXPRESSION,
@@ -189,19 +191,26 @@ def oracle_reports(
     return collected
 
 
-def oracle_lookup_binding(
-    name: str, bindings: list[VariableBinding], scope: Scope
-) -> VariableBinding | None:
+@dataclass(frozen=True)
+class Binding:
+    """One declared name of the reference: its type and where it is visible."""
+
+    name: str
+    declared_type: TypeName
+    scope: Scope
+
+
+def oracle_lookup_binding(name: str, bindings: list[Binding], scope: Scope) -> Binding | None:
     """Innermost binding by list scan over one unit's bindings: the method
     declaration first, then the fields of its class declaration; within a
     scope the first binding in source order wins."""
     if scope.position is not None:
         for binding in bindings:
-            if binding.variable_name == name and binding.scope == scope:
+            if binding.name == name and binding.scope == scope:
                 return binding
     fields = Scope(scope.class_name, class_position=scope.class_position)
     for binding in bindings:
-        if binding.variable_name == name and binding.scope == fields:
+        if binding.name == name and binding.scope == fields:
             return binding
     return None
 
@@ -210,18 +219,31 @@ def oracle_lookup_binding(
 IMPLICIT_IMPORTS = {"String": "java.lang.String", "Object": "java.lang.Object"}
 
 
+def oracle_qualified_classes(tree: AsltNode) -> list[tuple[str, AsltNode]]:
+    """Each class declaration of a unit with its name, qualified by the
+    unit's first package declaration if it has one."""
+    packages = [node for node in tree.children if node.kind == PACKAGE_DECLARATION]
+    prefix = packages[0].attributes.get("name", "") + "." if packages else ""
+    return [
+        (prefix + node.attributes.get("name", ""), node)
+        for node in tree.children
+        if node.kind == CLASS_DECLARATION
+    ]
+
+
 def oracle_bindings(
     tree: AsltNode,
-) -> tuple[dict[tuple[int, int | None, str], VariableBinding], list[Diagnostic]]:
+) -> tuple[dict[tuple[int, int | None, str], Binding], list[Diagnostic]]:
     """A unit's bindings by the rule that walks every node of each method's
     block: a VariableDeclaration anywhere below the block binds the names of
     all its children after the first.  Fields and parameters bind their own
     name.  The type is the declaration's first TypeReference child; without
     one nothing is bound.  Keys are (class position, member position or None
     for fields, name); the first binding of a key stands and each repeat is
-    a duplicate diagnostic."""
+    a duplicate diagnostic.  Scopes name classes as
+    :func:`oracle_qualified_classes` names them."""
     file_name = tree.span.file if tree.span is not None else tree.attributes.get("file", "")
-    bindings: dict[tuple[int, int | None, str], VariableBinding] = {}
+    bindings: dict[tuple[int, int | None, str], Binding] = {}
     diagnostics: list[Diagnostic] = []
 
     def bind(declaration: AsltNode, names: list[str], scope: Scope) -> None:
@@ -238,17 +260,15 @@ def oracle_bindings(
                     Diagnostic(file_name, f"duplicate variable {name!r} in scope {scope}")
                 )
             else:
-                bindings[key] = VariableBinding(name, declared, scope)
+                bindings[key] = Binding(name, declared, scope)
 
     def preorder(node: AsltNode):
         yield node
         for child in node.children:
             yield from preorder(child)
 
-    classes = [node for node in tree.children if node.kind == CLASS_DECLARATION]
     position = 0
-    for class_position, declaration in enumerate(classes):
-        class_name = declaration.attributes.get("name", "")
+    for class_position, (class_name, declaration) in enumerate(oracle_qualified_classes(tree)):
         for member in declaration.children:
             if member.kind == FIELD_DECLARATION:
                 fields = Scope(class_name, class_position=class_position)
@@ -296,11 +316,12 @@ def oracle_method_calls(tree: AsltNode, classes: list[ClassInfo]) -> list[CallSi
     expression statement's expression, and a return's value.  An initialized
     field's value is a root too, expecting the field's type.  A method
     invocation's receiver is a bound variable's type, a known class named
-    directly (a static call), or the enclosing class when there is none; a
-    ``new`` with a type and an argument list is a call of ``<init>`` with no
-    expected return.  An argument is typed by its binding, its literal
-    category, its ``new`` type, or, for a call, the return type of the one
-    method of that name; anything else is unresolved.  Names are bound by
+    directly (a static call), or the enclosing class, named by
+    :func:`oracle_qualified_classes`, when there is none; a ``new`` with a
+    type and an argument list is a call of ``<init>`` with no expected
+    return.  An argument is typed by its binding, its literal category, its
+    ``new`` type, or, for a call, the return type of the one method of that
+    name; anything else is unresolved.  Names are bound by
     :func:`oracle_bindings` and classes found by :func:`oracle_find_class`."""
     bindings = list(oracle_bindings(tree)[0].values())
     calls: list[CallSite] = []
@@ -358,7 +379,7 @@ def oracle_method_calls(tree: AsltNode, classes: list[ClassInfo]) -> list[CallSi
         span = node.span
         location = Location(span.file, span.line, span.column) if span else Location("", 0, 0)
         types = tuple(argument_type(argument, scope) for argument in arguments)
-        calls.append(CallSite(scope.class_name, scope.method_name, target, name, types, expected, location))
+        calls.append(CallSite(scope.class_name, target, name, types, expected, location))
         for argument in arguments:
             visit(argument, scope, UNCONSTRAINED)
 
@@ -377,10 +398,8 @@ def oracle_method_calls(tree: AsltNode, classes: list[ClassInfo]) -> list[CallSi
         elif node.kind == RETURN_STATEMENT and node.children:
             visit(node.children[0], scope, UNCONSTRAINED)
 
-    declarations = [node for node in tree.children if node.kind == CLASS_DECLARATION]
     position = 0
-    for class_position, declaration in enumerate(declarations):
-        class_name = declaration.attributes.get("name", "")
+    for class_position, (class_name, declaration) in enumerate(oracle_qualified_classes(tree)):
         for member in declaration.children:
             if member.kind == METHOD_DECLARATION:
                 scope = Scope(class_name, member.attributes.get("name", ""), position, class_position)

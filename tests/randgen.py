@@ -338,7 +338,6 @@ def oracle_calls(rng: random.Random, classes: list[ClassInfo]) -> list[CallSite]
         calls.append(
             CallSite(
                 caller_class="Caller",
-                caller_method="m",
                 receiver_class=receiver,
                 invoked_name=rng.choice(("f", "g", "h", "<init>")),
                 argument_types=arguments,

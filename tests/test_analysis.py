@@ -13,7 +13,6 @@ from compatcheck.analysis import (
     MismatchReport,
     Scope,
     Unresolved,
-    VariableBinding,
     get_all_method_calls,
     get_all_variables_types,
     index_classes,
@@ -33,6 +32,7 @@ from compatcheck.classfile import (
 from compatcheck.cli import gen_testbed
 
 from oracles import (
+    Binding,
     oracle_bindings,
     oracle_find_class,
     oracle_lookup_binding,
@@ -83,9 +83,14 @@ def _calls_for(source, classes, file_name="SampleClassA.java"):
     return get_all_method_calls(tree, bindings, index_classes(classes))
 
 
-def _keyed(*bindings):
-    """Bindings built by hand, keyed as get_all_variables_types keys them."""
-    return {(b.scope.class_position, b.scope.position, b.variable_name): b for b in bindings}
+def _keyed(name, declared_type, scope):
+    """One binding built by hand, keyed as get_all_variables_types keys it."""
+    return {(scope.class_position, scope.position, name): declared_type}
+
+
+def _declared_types(bindings):
+    """The reference's bindings as the package keeps them: each key with its type."""
+    return [(key, binding.declared_type) for key, binding in bindings.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,7 @@ def _keyed(*bindings):
 def test_string_variable_binding():
     tree = parse_source(SAMPLE_CALLER_SOURCE, file_name="SampleClassA.java")
     bindings, _ = get_all_variables_types(tree)
-    assert VariableBinding("str", STRING, Scope("SampleClassA", "m", 0)) in bindings.values()
+    assert bindings[(0, 0, "str")] == STRING
 
 
 def test_no_declarations_no_bindings():
@@ -110,9 +115,9 @@ def test_field_parameter_and_local_bindings_in_source_order():
     )
     bindings, _ = get_all_variables_types(tree)
     assert list(bindings.items()) == [
-        ((0, None, "n"), VariableBinding("n", INT, Scope("A"))),
-        ((0, 1, "p"), VariableBinding("p", TypeName("long"), Scope("A", "m", 1))),
-        ((0, 1, "c"), VariableBinding("c", TypeName("char"), Scope("A", "m", 1))),
+        ((0, None, "n"), INT),
+        ((0, 1, "p"), TypeName("long")),
+        ((0, 1, "c"), TypeName("char")),
     ]
 
 
@@ -130,15 +135,23 @@ def test_parameter_shadows_field_inside_method():
 def test_duplicate_binding_keeps_first_and_reports():
     tree = parse_source("class A { void m() { int x; long x; } }", file_name="A.java")
     bindings, diagnostics = get_all_variables_types(tree)
-    assert list(bindings.values()) == [VariableBinding("x", INT, Scope("A", "m", 0))]
+    assert list(bindings.items()) == [((0, 0, "x"), INT)]
     assert [d.message for d in diagnostics] == ["duplicate variable 'x' in scope A.m"]
+
+
+def test_a_packaged_scope_names_its_class_qualified():
+    tree = parse_source("package p.q; class A { void m() { int x; long x; n(); } }")
+    bindings, diagnostics = get_all_variables_types(tree)
+    assert [d.message for d in diagnostics] == ["duplicate variable 'x' in scope p.q.A.m"]
+    calls = get_all_method_calls(tree, bindings, {})
+    assert [(c.caller_class, c.receiver_class) for c in calls] == [("p.q.A", TypeName("p.q.A"))]
 
 
 def test_same_named_classes_in_one_unit_keep_their_methods_apart():
     tree = parse_source("class A { void m() { int x; } } class A { void n() { long x; } }")
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    assert [b.scope for b in bindings.values()] == [Scope("A", "m", 0), Scope("A", "n", 1, 1)]
+    assert list(bindings.items()) == [((0, 0, "x"), INT), ((1, 1, "x"), TypeName("long"))]
 
 
 def test_same_named_classes_in_one_unit_keep_their_fields_apart():
@@ -147,8 +160,8 @@ def test_same_named_classes_in_one_unit_keep_their_fields_apart():
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
     assert list(bindings.items()) == [
-        ((0, None, "x"), VariableBinding("x", INT, Scope("A"))),
-        ((1, None, "x"), VariableBinding("x", TypeName("long"), Scope("A", class_position=1))),
+        ((0, None, "x"), INT),
+        ((1, None, "x"), TypeName("long")),
     ]
     calls = get_all_method_calls(tree, bindings, {})
     assert [c.argument_types for c in calls] == [(INT,), (TypeName("long"),)]
@@ -180,11 +193,11 @@ def test_overloads_bind_their_own_parameters():
     tree = parse_source(source, file_name="A.java")
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    assert [(b.variable_name, b.declared_type, b.scope) for b in bindings.values()] == [
-        ("a", INT, Scope("A", "m", 0)),
-        ("b", TypeName("B"), Scope("A", "m", 0)),
-        ("a", STRING, Scope("A", "m", 1)),
-        ("b", TypeName("B"), Scope("A", "m", 1)),
+    assert list(bindings.items()) == [
+        ((0, 0, "a"), INT),
+        ((0, 0, "b"), TypeName("B")),
+        ((0, 1, "a"), STRING),
+        ((0, 1, "b"), TypeName("B")),
     ]
     calls = get_all_method_calls(tree, bindings, index_classes([TAKER]))
     assert [(str(c), c.argument_types) for c in calls if c.invoked_name != "<init>"] == [
@@ -210,10 +223,10 @@ def test_overloads_of_different_arity_reuse_local_names():
 }
 """
     calls = _calls_for(source, [TAKER], file_name="A.java")
-    assert [(c.caller_method, str(c), c.argument_types) for c in calls if c.invoked_name != "<init>"] == [
-        ("m", "B.pair", (INT, TypeName("long"))),
-        ("m", "B.takeStr", (STRING,)),
-        ("m", "B.takeInt", (INT,)),
+    assert [(c.location.line, str(c), c.argument_types) for c in calls if c.invoked_name != "<init>"] == [
+        (5, "B.pair", (INT, TypeName("long"))),
+        (10, "B.takeStr", (STRING,)),
+        (11, "B.takeInt", (INT,)),
     ]
     assert method_called(calls, index_classes([TAKER])) == []
 
@@ -227,9 +240,9 @@ def test_duplicate_in_one_overload_is_reported_once():
     assert [(d.file, d.message) for d in diagnostics] == [
         ("A.java", "duplicate variable 'x' in scope A.m")
     ]
-    assert bindings[(0, 0, "x")].declared_type == INT
-    assert bindings[(0, 1, "x")].declared_type == INT
-    assert bindings[(0, 1, "a")].declared_type == STRING
+    assert bindings[(0, 0, "x")] == INT
+    assert bindings[(0, 1, "x")] == INT
+    assert bindings[(0, 1, "a")] == STRING
 
 
 def test_bindings_match_the_whole_block_walk_on_random_programs():
@@ -239,7 +252,7 @@ def test_bindings_match_the_whole_block_walk_on_random_programs():
         for unit in (tree, parse_source(print_source(tree), file_name="Random.java")):
             bindings, diagnostics = get_all_variables_types(unit)
             expected, expected_diagnostics = oracle_bindings(unit)
-            assert list(bindings.items()) == list(expected.items())
+            assert list(bindings.items()) == _declared_types(expected)
             assert diagnostics == expected_diagnostics
 
 
@@ -251,7 +264,7 @@ def test_bindings_match_the_whole_block_walk_on_the_testbed(tmp_path):
         tree = parse_source(path.read_text(encoding="utf-8"), file_name=path.name)
         bindings, diagnostics = get_all_variables_types(tree)
         assert diagnostics == []
-        assert list(bindings.items()) == list(oracle_bindings(tree)[0].items())
+        assert list(bindings.items()) == _declared_types(oracle_bindings(tree)[0])
 
 
 # A hand-edited tree that no source parses to.  In ``m`` one declaration is
@@ -311,12 +324,12 @@ NESTED_DECLARATIONS_ASLT = """CompilationUnit file="H.java"
 def test_declarations_nested_below_a_statement_are_neither_bound_nor_extracted():
     tree = read_aslt(NESTED_DECLARATIONS_ASLT, file_name="H.aslt")
     bindings, diagnostics = get_all_variables_types(tree)
-    assert bindings == {(0, 1, "x"): VariableBinding("x", TypeName("B"), Scope("H", "n", 1, 0))}
+    assert bindings == {(0, 1, "x"): TypeName("B")}
     assert diagnostics == []
     calls = get_all_method_calls(tree, bindings, {})
-    assert [(c.caller_method, c.invoked_name, c.argument_types) for c in calls] == [
-        ("m", "f", (UNRESOLVED, UNRESOLVED)),
-        ("n", "f", (TypeName("B"), UNRESOLVED)),
+    assert [(c.location.line, c.invoked_name, c.argument_types) for c in calls] == [
+        (21, "f", (UNRESOLVED, UNRESOLVED)),  # in m
+        (32, "f", (TypeName("B"), UNRESOLVED)),  # in n
     ]
 
 
@@ -363,7 +376,7 @@ def _literal(value, category):
 
 
 def test_resolve_bound_identifier():
-    bindings = _keyed(VariableBinding("str", STRING, Scope("A", "m", 0)))
+    bindings = _keyed("str", STRING, Scope("A", "m", 0))
     assert resolve_argument_type(_ident("str"), bindings, {}, Scope("A", "m", 0)) == STRING
 
 
@@ -394,7 +407,7 @@ def test_resolve_new_expression():
 
 def test_resolve_nested_invocation_unique_target():
     scope = Scope("A", "m", 0)
-    bindings = _keyed(VariableBinding("b", TypeName("SampleClassB"), scope))
+    bindings = _keyed("b", TypeName("SampleClassB"), scope)
     node = aslt.AsltNode(
         aslt.METHOD_INVOKE_EXPRESSION,
         {"name": "getNumber"},
@@ -406,7 +419,7 @@ def test_resolve_nested_invocation_unique_target():
 
 def test_resolve_nested_invocation_ambiguous_overload():
     scope = Scope("A", "m", 0)
-    bindings = _keyed(VariableBinding("b", TypeName("B"), scope))
+    bindings = _keyed("b", TypeName("B"), scope)
     node = aslt.AsltNode(
         aslt.METHOD_INVOKE_EXPRESSION,
         {"name": "f"},
@@ -437,7 +450,7 @@ def test_sample_caller_call_site():
     assert call.argument_types == (STRING,)
     assert call.expected_return is UNCONSTRAINED
     assert call.caller_class == "SampleClassA"
-    assert call.caller_method == "m"
+    assert call.location.column == 9
     assert str(call) == "SampleClassB.doSomething"
     assert call.location.file == "SampleClassA.java"
     assert call.location.line == 5
@@ -505,7 +518,7 @@ def test_constructor_sites_extracted_as_init():
 def test_field_initializer_calls_are_extracted():
     calls = _calls_for("class A { int n = helper.get(); }", [])
     assert len(calls) == 1
-    assert calls[0].caller_method is None
+    assert calls[0].location.column == 19
     assert calls[0].expected_return == INT
 
 
@@ -770,7 +783,6 @@ def test_compatible_cross_calls_produce_no_reports():
 def _call(receiver, name, args=(), expected=UNCONSTRAINED, line=1):
     return CallSite(
         caller_class="A",
-        caller_method="m",
         receiver_class=receiver,
         invoked_name=name,
         argument_types=args,
@@ -924,7 +936,6 @@ def _shapes_repeated(rng, calls, copies):
                 dataclasses.replace(
                     call,
                     caller_class=f"Caller{line % 5}",
-                    caller_method=rng.choice(("m", "n", None)),
                     location=Location(f"F{line % 3}.java", line, rng.randrange(1, 30)),
                 )
             )
@@ -977,7 +988,7 @@ def test_an_equal_type_built_elsewhere_shares_the_cached_types_verdict(monkeypat
     assert built is not cached and hash(built) == hash(cached)
     classes = [ClassInfo("B", methods=(MethodSignature("f", (STRING,), VOID),))]
     calls = [
-        CallSite("A", "m", TypeName("B"), "f", (argument,), UNCONSTRAINED, Location("A.java", line, 1))
+        CallSite("A", TypeName("B"), "f", (argument,), UNCONSTRAINED, Location("A.java", line, 1))
         for line, argument in ((1, cached), (2, built), (3, TypeName("int", 0)))
     ]
     reports = method_called(calls, index_classes(classes))
@@ -1092,10 +1103,9 @@ def test_call_records_build_alike_positionally_and_by_keyword():
     location = Location("A.java", 3, 7)
     assert location == Location(file="A.java", line=3, column=7)
     assert hash(location) == hash(Location(file="A.java", line=3, column=7))
-    call = CallSite("A", "m", TypeName("B"), "f", (INT, UNRESOLVED), UNCONSTRAINED, location)
+    call = CallSite("A", TypeName("B"), "f", (INT, UNRESOLVED), UNCONSTRAINED, location)
     by_keyword = CallSite(
         caller_class="A",
-        caller_method="m",
         receiver_class=TypeName("B"),
         invoked_name="f",
         argument_types=(INT, UNRESOLVED),
@@ -1109,7 +1119,6 @@ def test_call_records_build_alike_positionally_and_by_keyword():
     assert [f.name for f in dataclasses.fields(Location)] == ["file", "line", "column"]
     assert [f.name for f in dataclasses.fields(CallSite)] == [
         "caller_class",
-        "caller_method",
         "receiver_class",
         "invoked_name",
         "argument_types",
@@ -1122,7 +1131,7 @@ def test_call_records_build_alike_positionally_and_by_keyword():
 
     assert repr(location) == "Location(file='A.java', line=3, column=7)"
     assert repr(call) == (
-        "CallSite(caller_class='A', caller_method='m', receiver_class=TypeName(name='B', dims=0), "
+        "CallSite(caller_class='A', receiver_class=TypeName(name='B', dims=0), "
         "invoked_name='f', argument_types=(TypeName(name='int', dims=0), Unresolved()), "
         "expected_return=Unconstrained(), location=" + repr(location) + ")"
     )
@@ -1195,7 +1204,7 @@ def _random_unit(rng):
             if rng.random() < 0.4:
                 spelled, name = rng.choice(list(LOOKUP_TYPES)), rng.choice(LOOKUP_NAMES[:3])
                 members.append(f"{spelled} {name};")
-                declared.append(VariableBinding(name, LOOKUP_TYPES[spelled], fields))
+                declared.append(Binding(name, LOOKUP_TYPES[spelled], fields))
                 continue
             method = rng.choice(LOOKUP_METHODS)
             scope = Scope(class_name, method, position, class_position)
@@ -1207,7 +1216,7 @@ def _random_unit(rng):
             parameters = ", ".join(f"{t} {n}" for t, n in pairs[:split])
             locals_ = " ".join(f"{t} {n};" for t, n in pairs[split:])
             members.append(f"void {method}({parameters}) {{ {locals_} }}")
-            declared += [VariableBinding(n, LOOKUP_TYPES[t], scope) for t, n in pairs]
+            declared += [Binding(n, LOOKUP_TYPES[t], scope) for t, n in pairs]
         classes.append(f"class {class_name} {{ {' '.join(members)} }}")
     return "\n".join(classes), names, declared
 
@@ -1231,7 +1240,7 @@ def test_index_lookups_equal_the_list_scan_oracle():
     for _ in range(300):
         source, names, declared = _random_unit(rng)
         index, diagnostics = get_all_variables_types(parse_source(source, file_name="U.java"))
-        keys = {(b.scope, b.variable_name) for b in declared}
+        keys = {(b.scope, b.name) for b in declared}
         assert len(index) == len(keys)
         assert len(diagnostics) == len(declared) - len(keys)
         seen["repeated key"] += len(diagnostics)
@@ -1256,10 +1265,15 @@ def test_index_lookups_equal_the_list_scan_oracle():
             for scope in queried:
                 for name in LOOKUP_NAMES:
                     expected = oracle_lookup_binding(name, declared, scope)
-                    assert analysis._lookup_binding(name, index, scope) == expected
+                    found = analysis._lookup_binding(name, index, scope)
                     if expected is None:
+                        assert found is None
                         seen["miss"] += 1
-                    elif scope.position is not None and expected.scope.position is None:
+                        continue
+                    # The index holds the reference's binding under its scope's key.
+                    key = (expected.scope.class_position, expected.scope.position, name)
+                    assert found == index[key] == expected.declared_type
+                    if scope.position is not None and expected.scope.position is None:
                         seen["field only"] += 1
 
         classes = [
@@ -1357,7 +1371,7 @@ def test_declarations_without_a_type_reference_are_skipped():
     )
     bindings, diagnostics = get_all_variables_types(tree)
     assert diagnostics == []
-    assert [b.variable_name for b in bindings.values()] == ["x", "b", "v"]
+    assert [name for _, _, name in bindings] == ["x", "b", "v"]
     calls = get_all_method_calls(tree, bindings, {})
     assert [(c.invoked_name, c.receiver_class, c.expected_return) for c in calls] == [
         ("f", TypeName("B"), UNCONSTRAINED),

@@ -882,7 +882,7 @@ def test_token_dataclass_shape():
 
 def test_records_are_slotted():
     location = Location("A.java", 1, 1)
-    call = CallSite("A", "m", TypeName("B"), "f", (), UNCONSTRAINED, location)
+    call = CallSite("A", TypeName("B"), "f", (), UNCONSTRAINED, location)
     report = MismatchReport(
         MismatchKind.UNKNOWN_CLASS, "A", None, "f", None, None, None, None, location
     )

@@ -486,6 +486,43 @@ def test_overloaded_caller_methods_compose_cleanly(tmp_path, capsys):
     assert capsys.readouterr() == ("0 errors\n", "")
 
 
+# A bare call inside a packaged class targets that class by its qualified
+# name, as javac resolves it.
+PACKAGED_CALLER_SOURCE = """package p;
+class A {
+    int n() { return 1; }
+    void m() {
+        int r = n(%s);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("argument, exit_code", [("", 0), ("5", 1)])
+def test_a_bare_call_in_a_packaged_class_targets_that_class(tmp_path, capsys, argument, exit_code):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(PACKAGED_CALLER_SOURCE % argument, encoding="utf-8")
+    a = ClassInfo(
+        "p.A",
+        methods=(
+            MethodSignature("<init>", (), VOID),
+            MethodSignature("n", (), TypeName("int")),
+            MethodSignature("m", (), VOID),
+        ),
+    )
+    (tmp_path / "p" / "A.class").write_bytes(emit_classfile(a))
+    (tmp_path / "c.properties").write_text("PathToApplication=.\n", encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "c.properties")]) == exit_code
+    out, err = capsys.readouterr()
+    assert err == ""
+    if exit_code == 0:
+        assert out == "0 errors\n"
+    else:
+        assert out.startswith("error[ArityMismatch] at p/A.java:5:17\n")
+        assert "  ASLT class name:     p.A\n" in out
+        assert "  called class file:   p/A.class\n" in out
+
+
 def _duplicate_class_project(root):
     """Four units: ``A`` twice in the default package, ``q.A``, and ``p.A``
     beside ``p.C``; each ``A.m`` calls ``B.f(int)`` with its own field ``x``."""
