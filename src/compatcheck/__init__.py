@@ -24,7 +24,6 @@ from .aslt import (
     AsltError,
     AsltNode,
     Location,
-    Token,
     parse_source,
     read_aslt,
     tokenize,
@@ -70,7 +69,6 @@ __all__ = [
     "MismatchReport",
     "ProjectConfig",
     "Scope",
-    "Token",
     "TypeName",
     "UNCONSTRAINED",
     "UNRESOLVED",

@@ -30,6 +30,7 @@ The supported grammar::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 # --- node kinds (closed enumeration) ---------------------------------------
@@ -180,32 +181,36 @@ END_OF_INPUT = "end-of-input"
 
 _PUNCTUATION = frozenset(";,(){}[].")
 
+# The blanks that start a line, skipped in one match after each newline.
+_INDENTATION = re.compile(r"[ \t\r]*")
 
-@dataclass(slots=True, unsafe_hash=True)
-class Token:
-    """One lexeme and where it starts; read-only by convention, never assigned once built."""
-
-    category: str
-    lexeme: str
-    line: int
-    column: int
+# The escape of a char literal, from its backslash: an octal escape up to
+# \377 (JLS 3.10.7) or a Unicode escape (JLS 3.3); any other character after
+# the backslash is taken as a one-character escape.
+_CHAR_ESCAPE = re.compile(r"\\(?:[0-3][0-7]{0,2}|[4-7][0-7]?|u+[0-9A-Fa-f]{4}|.)", re.DOTALL)
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
     """Lex source text; comments and whitespace are discarded.
 
-    String and char literals keep their quoted lexemes.  The stream always
-    ends with an end-of-input token.
+    Each token is a plain tuple ``(category, lexeme, line, column)``: the
+    category (``"identifier"``, ``"keyword"``, ``"punctuation"``,
+    ``"operator"``, a key of :data:`LITERAL_CATEGORIES` or
+    :data:`END_OF_INPUT`), the lexeme, and the 1-based line and column where
+    it starts.  String and char literals keep their quoted lexemes.  The
+    stream always ends with an end-of-input token, whose lexeme is empty.
     """
-    tokens: list[Token] = []
+    tokens: list[tuple[str, str, int, int]] = []
+    indentation = _INDENTATION.match
     line, column = 1, 1
     i, n = 0, len(source)
     while i < n:
         c = source[i]
         if c == "\n":
             line += 1
-            column = 1
-            i += 1
+            j = indentation(source, i + 1).end()
+            column = j - i
+            i = j
             continue
         if c in " \t\r":
             column += 1
@@ -248,7 +253,7 @@ def tokenize(source: str) -> list[Token]:
                 category = "keyword"
             else:
                 category = "identifier"
-            tokens.append(Token(category, word, start_line, start_column))
+            tokens.append((category, word, start_line, start_column))
             column += j - i
             i = j
         elif c.isdigit():
@@ -261,7 +266,7 @@ def tokenize(source: str) -> list[Token]:
                 while j < n and source[j].isdigit():
                     j += 1
                 category = "floating-literal"
-            tokens.append(Token(category, source[i:j], start_line, start_column))
+            tokens.append((category, source[i:j], start_line, start_column))
             column += j - i
             i = j
         elif c == '"':
@@ -278,32 +283,33 @@ def tokenize(source: str) -> list[Token]:
                     break
                 j += 1
             lexeme = source[i : j + 1]
-            tokens.append(Token("string-literal", lexeme, start_line, start_column))
+            tokens.append(("string-literal", lexeme, start_line, start_column))
             column += len(lexeme)
             i = j + 1
         elif c == "'":
             j = i + 1
             if j < n and source[j] == "\\":
-                j += 2
+                escape = _CHAR_ESCAPE.match(source, j)
+                j = escape.end() if escape else n
             elif j < n and source[j] not in ("'", "\n"):
                 j += 1
             if j >= n or source[j] != "'":
                 raise LexicalError("malformed char literal", start_line, start_column)
             lexeme = source[i : j + 1]
-            tokens.append(Token("char-literal", lexeme, start_line, start_column))
+            tokens.append(("char-literal", lexeme, start_line, start_column))
             column += len(lexeme)
             i = j + 1
         elif c in _PUNCTUATION:
-            tokens.append(Token("punctuation", c, start_line, start_column))
+            tokens.append(("punctuation", c, start_line, start_column))
             column += 1
             i += 1
         elif c == "=":
-            tokens.append(Token("operator", "=", start_line, start_column))
+            tokens.append(("operator", "=", start_line, start_column))
             column += 1
             i += 1
         else:
             raise LexicalError(f"illegal character {c!r}", line, column)
-    tokens.append(Token(END_OF_INPUT, "", line, column))
+    tokens.append((END_OF_INPUT, "", line, column))
     return tokens
 
 
@@ -331,7 +337,8 @@ class _SharedAttributes(dict):
 
 
 class _Parser:
-    """Recursive descent over the token list, one method per grammar rule.
+    """Recursive descent over the token tuples of :func:`tokenize`, one
+    method per grammar rule.
 
     Tokens are matched by lexeme alone.  That is sound because no
     identifier, literal or end-of-input token can carry the lexeme of a
@@ -348,7 +355,7 @@ class _Parser:
     parser, so no two parses share a dict.
     """
 
-    def __init__(self, tokens: list[Token], file_name: str):
+    def __init__(self, tokens: list[tuple[str, str, int, int]], file_name: str):
         self.tokens = tokens
         self.pos = 0
         self.file_name = file_name
@@ -358,47 +365,52 @@ class _Parser:
     # --- token plumbing ---
 
     def take(self, lexeme: str) -> bool:
-        if self.tokens[self.pos].lexeme == lexeme:
+        if self.tokens[self.pos][1] == lexeme:
             self.pos += 1
             return True
         return False
 
-    def expect(self, lexeme: str) -> Token:
+    def expect(self, lexeme: str) -> tuple[str, str, int, int]:
         token = self.tokens[self.pos]
-        if token.lexeme != lexeme:
+        if token[1] != lexeme:
             self.fail({repr(lexeme)})
         self.pos += 1
         return token
 
-    def identifier(self) -> Token:
+    def identifier(self) -> tuple[str, str, int, int]:
         token = self.tokens[self.pos]
-        if token.category != "identifier":
+        if token[0] != "identifier":
             self.fail({"identifier"})
         self.pos += 1
         return token
 
     def fail(self, expected: set[str], message: str | None = None):
-        token = self.tokens[self.pos]
-        got = token.lexeme if token.category != END_OF_INPUT else "end of input"
-        raise ParseError(
-            message or f"unexpected {got!r}", token.line, token.column, frozenset(expected)
-        )
+        category, lexeme, line, column = self.tokens[self.pos]
+        got = lexeme if category != END_OF_INPUT else "end of input"
+        raise ParseError(message or f"unexpected {got!r}", line, column, frozenset(expected))
 
     def node(
-        self, kind: str, attributes: dict[str, str], children: tuple[AsltNode, ...], start: Token
+        self,
+        kind: str,
+        attributes: dict[str, str],
+        children: tuple[AsltNode, ...],
+        start: tuple[str, str, int, int],
     ) -> AsltNode:
-        """A node whose span is where ``start`` begins.
+        """A node whose span is where the token ``start`` begins.
 
         The node holds ``attributes`` itself, the same dict, not a copy.
-        Made with ``object.__new__`` and plain attribute stores, as
-        :func:`read_aslt` makes its nodes: the parser passes only this
-        module's kind constants, so the constructor's kind check is skipped.
+        The node and its span are made with ``object.__new__`` and plain
+        attribute stores, as :func:`read_aslt` makes them: the parser passes
+        only this module's kind constants, so the constructor's kind check
+        is skipped.
         """
         node = object.__new__(AsltNode)
         node.kind = kind
         node.attributes = attributes
         node.children = children
-        node.span = Location(self.file_name, start.line, start.column)
+        node.span = span = object.__new__(Location)
+        span.file = self.file_name
+        _, _, span.line, span.column = start
         return node
 
     # --- grammar ---
@@ -406,7 +418,7 @@ class _Parser:
     def compilation_unit(self) -> AsltNode:
         start = self.tokens[0]
         children: list[AsltNode] = []
-        if start.lexeme == "package":
+        if start[1] == "package":
             children.append(self.package_declaration())
         children.append(self.class_declaration())
         end = len(self.tokens) - 1
@@ -421,17 +433,17 @@ class _Parser:
         return self.node(PACKAGE_DECLARATION, self.shared[name], (), start)
 
     def qualified_name(self) -> str:
-        name = self.identifier().lexeme
+        name = self.identifier()[1]
         tokens, pos = self.tokens, self.pos
-        while tokens[pos].lexeme == "." and tokens[pos + 1].category == "identifier":
-            name += "." + tokens[pos + 1].lexeme
+        while tokens[pos][1] == "." and tokens[pos + 1][0] == "identifier":
+            name += "." + tokens[pos + 1][1]
             pos += 2
         self.pos = pos
         return name
 
     def class_declaration(self) -> AsltNode:
         start = self.expect("class")
-        attributes = {"name": self.identifier().lexeme}
+        attributes = {"name": self.identifier()[1]}
         if self.take("extends"):
             attributes["extends"] = self.qualified_name()
         if self.take("implements"):
@@ -449,8 +461,8 @@ class _Parser:
         start = self.tokens[self.pos]
         static = self.take("static")
         declared = self.type_reference()
-        name = self.identifier().lexeme
-        if self.tokens[self.pos].lexeme == "(":
+        name = self.identifier()[1]
+        if self.tokens[self.pos][1] == "(":
             return self.method_rest(start, static, declared, name)
         if static:
             self.fail({"'('"}, "only methods may be static")
@@ -461,7 +473,9 @@ class _Parser:
         self.expect(";")
         return self.node(FIELD_DECLARATION, self.shared[name], (declared,) + initializer, start)
 
-    def method_rest(self, start: Token, static: bool, declared: AsltNode, name: str) -> AsltNode:
+    def method_rest(
+        self, start: tuple[str, str, int, int], static: bool, declared: AsltNode, name: str
+    ) -> AsltNode:
         attributes = {"name": name, "static": "true"} if static else self.shared[name]
         self.pos += 1  # '(', seen by member()
         parameters: list[AsltNode] = []
@@ -478,38 +492,35 @@ class _Parser:
         start = self.tokens[self.pos]
         declared = self.type_reference()
         self.reject_void(declared, start)
-        name = self.identifier().lexeme
+        name = self.identifier()[1]
         return self.node(PARAMETER_DECLARATION, self.shared[name], (declared,), start)
 
-    def reject_void(self, declared: AsltNode, start: Token) -> None:
+    def reject_void(self, declared: AsltNode, start: tuple[str, str, int, int]) -> None:
         if declared.attributes["name"] == "void":
+            _, _, line, column = start
             raise ParseError(
-                "void is only valid as a method return type",
-                start.line,
-                start.column,
-                frozenset({"type name"}),
+                "void is only valid as a method return type", line, column, frozenset({"type name"})
             )
 
     def type_reference(self) -> AsltNode:
         start = self.tokens[self.pos]
-        if start.category == "identifier":
+        category, lexeme, line, column = start
+        if category == "identifier":
             base = self.qualified_name()
-        elif start.lexeme in PRIMITIVE_TYPE_KEYWORDS:
-            base = start.lexeme
+        elif lexeme in PRIMITIVE_TYPE_KEYWORDS:
+            base = lexeme
             self.pos += 1
         else:
             return self.fail({"type name"})
         tokens, pos, dims = self.tokens, self.pos, 0
-        while tokens[pos].lexeme == "[" and tokens[pos + 1].lexeme == "]":
+        while tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
             pos += 2
             dims += 1
         self.pos = pos
         if base == "void" and dims:
-            raise ParseError("array of void is not a type", start.line, start.column)
+            raise ParseError("array of void is not a type", line, column)
         if dims > MAX_ARRAY_DIMS:
-            raise ParseError(
-                f"array type with more than {MAX_ARRAY_DIMS} dimensions", start.line, start.column
-            )
+            raise ParseError(f"array type with more than {MAX_ARRAY_DIMS} dimensions", line, column)
         attributes = self.shared[base, dims] if dims else self.shared[base]
         return self.node(TYPE_REFERENCE, attributes, (), start)
 
@@ -522,16 +533,17 @@ class _Parser:
 
     def statement(self) -> AsltNode:
         start = self.tokens[self.pos]
-        if start.category == "identifier":
+        category, lexeme, _, _ = start
+        if category == "identifier":
             if self.declaration_follows():
                 return self.variable_declaration()
-            if self.tokens[self.pos + 1].lexeme == "=":
+            if self.tokens[self.pos + 1][1] == "=":
                 return self.assignment_statement()
-        elif start.lexeme == "return":
+        elif lexeme == "return":
             return self.return_statement()
-        elif start.lexeme in PRIMITIVE_TYPE_KEYWORDS:
+        elif lexeme in PRIMITIVE_TYPE_KEYWORDS:
             return self.variable_declaration()
-        elif start.category == END_OF_INPUT:
+        elif category == END_OF_INPUT:
             self.fail({"statement"})
         expression = self.expression(5)
         self.expect(";")
@@ -541,11 +553,11 @@ class _Parser:
         """Whether the tokens from the current one, an identifier, begin
         ``IDENT ("." IDENT)* ("[" "]")* IDENT``: a variable declaration."""
         tokens, pos = self.tokens, self.pos + 1
-        while tokens[pos].lexeme == "." and tokens[pos + 1].category == "identifier":
+        while tokens[pos][1] == "." and tokens[pos + 1][0] == "identifier":
             pos += 2
-        while tokens[pos].lexeme == "[" and tokens[pos + 1].lexeme == "]":
+        while tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
             pos += 2
-        return tokens[pos].category == "identifier"
+        return tokens[pos][0] == "identifier"
 
     def variable_declaration(self) -> AsltNode:
         start = self.tokens[self.pos]
@@ -562,12 +574,12 @@ class _Parser:
         initializer: tuple[AsltNode, ...] = ()
         if self.take("="):
             initializer = (self.expression(6),)
-        return self.node(VARIABLE_DECLARATOR, self.shared[start.lexeme], initializer, start)
+        return self.node(VARIABLE_DECLARATOR, self.shared[start[1]], initializer, start)
 
     def assignment_statement(self) -> AsltNode:
         start = self.tokens[self.pos]
         self.pos += 1  # the identifier, then '=', both seen by statement()
-        target = self.node(IDENTIFIER_EXPRESSION, self.shared[start.lexeme], (), start)
+        target = self.node(IDENTIFIER_EXPRESSION, self.shared[start[1]], (), start)
         self.pos += 1
         value = self.expression(6)
         assignment = self.node(SIMPLE_ASSIGNMENT_EXPRESSION, self.empty, (target, value), start)
@@ -578,7 +590,7 @@ class _Parser:
         start = self.tokens[self.pos]
         self.pos += 1  # 'return', seen by statement()
         value: tuple[AsltNode, ...] = ()
-        if self.tokens[self.pos].lexeme != ";":
+        if self.tokens[self.pos][1] != ";":
             value = (self.expression(5),)
         self.expect(";")
         return self.node(RETURN_STATEMENT, self.empty, value, start)
@@ -593,32 +605,34 @@ class _Parser:
             self.fail(set(), f"nesting deeper than {MAX_DEPTH} levels")
         tokens, pos = self.tokens, self.pos
         token = tokens[pos]
-        category = token.category
+        category, lexeme, _, _ = token
         if category == "identifier":
-            following = tokens[pos + 1].lexeme
+            following = tokens[pos + 1][1]
             if following == "(":
                 return self.invocation(depth, None, token)
             self.pos = pos + 1
-            name = self.node(IDENTIFIER_EXPRESSION, self.shared[token.lexeme], (), token)
+            name = self.node(IDENTIFIER_EXPRESSION, self.shared[lexeme], (), token)
             if (
                 following == "."
-                and tokens[pos + 2].category == "identifier"
-                and tokens[pos + 3].lexeme == "("
+                and tokens[pos + 2][0] == "identifier"
+                and tokens[pos + 3][1] == "("
             ):
                 self.pos = pos + 2
                 return self.invocation(depth, name, token)
             return name
         if category in LITERAL_CATEGORIES:
             self.pos = pos + 1
-            attributes = self.shared[token.lexeme, LITERAL_CATEGORIES[category]]
+            attributes = self.shared[lexeme, LITERAL_CATEGORIES[category]]
             return self.node(LITERAL_TAG, attributes, (), token)
-        if token.lexeme == "new":
+        if lexeme == "new":
             return self.new_expression(depth)
         return self.fail({"expression"})
 
-    def invocation(self, depth: int, receiver: AsltNode | None, start: Token) -> AsltNode:
+    def invocation(
+        self, depth: int, receiver: AsltNode | None, start: tuple[str, str, int, int]
+    ) -> AsltNode:
         """A call whose name is the current token, an identifier followed by '('."""
-        name = self.tokens[self.pos].lexeme
+        name = self.tokens[self.pos][1]
         self.pos += 1
         arguments = self.argument_list(depth + 1)
         children = (receiver, arguments) if receiver is not None else (arguments,)
@@ -629,9 +643,8 @@ class _Parser:
         self.pos += 1  # 'new', seen by expression()
         declared = self.type_reference()
         if declared.attributes["name"] == "void" or "dims" in declared.attributes:
-            raise ParseError(
-                "object creation needs a plain class type", start.line, start.column
-            )
+            _, _, line, column = start
+            raise ParseError("object creation needs a plain class type", line, column)
         arguments = self.argument_list(depth + 1)
         return self.node(NEW_OBJECT_EXPRESSION, self.empty, (declared, arguments), start)
 

@@ -474,3 +474,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -102,7 +102,9 @@ def random_literal_node(rng: random.Random) -> aslt.AsltNode:
         inner = "".join(rng.choice(_STRING_PIECES) for _ in range(rng.randrange(0, 8)))
         value = f'"{inner}"'
     elif kind == "char":
-        value = rng.choice(("'x'", "'9'", "' '", "'\\n'", "'\\''", "'\\\\'"))
+        value = rng.choice(
+            ("'x'", "'9'", "' '", "'\\n'", "'\\''", "'\\\\'", "'\\101'", "'\\u0041'")
+        )
     else:
         value = rng.choice(("true", "false"))
     return aslt.AsltNode(aslt.LITERAL_TAG, {"value": value, "category": kind})

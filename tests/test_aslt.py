@@ -11,7 +11,6 @@ from compatcheck.aslt import (
     LexicalError,
     Location,
     ParseError,
-    Token,
     parse_source,
     read_aslt,
     tokenize,
@@ -39,7 +38,7 @@ SAMPLE_CALLER = """class SampleClassA {
 
 def test_tokenize_declaration():
     tokens = tokenize("int x = 5;")
-    assert [(t.category, t.lexeme) for t in tokens] == [
+    assert [(category, lexeme) for category, lexeme, _, _ in tokens] == [
         ("keyword", "int"),
         ("identifier", "x"),
         ("operator", "="),
@@ -51,34 +50,55 @@ def test_tokenize_declaration():
 
 def test_tokenize_empty_source():
     tokens = tokenize("")
-    assert [(t.category, t.lexeme) for t in tokens] == [("end-of-input", "")]
+    assert [(category, lexeme) for category, lexeme, _, _ in tokens] == [("end-of-input", "")]
 
 
 def test_tokenize_string_keeps_quotes():
     tokens = tokenize('String s = "hi";')
-    literal = [t for t in tokens if t.category == "string-literal"]
-    assert [t.lexeme for t in literal] == ['"hi"']
+    literal = [lexeme for category, lexeme, _, _ in tokens if category == "string-literal"]
+    assert literal == ['"hi"']
 
 
 def test_tokenize_discards_comments():
     tokens = tokenize("// line\nint /* block\nstill */ x;")
-    assert [t.lexeme for t in tokens[:-1]] == ["int", "x", ";"]
+    assert [lexeme for _, lexeme, _, _ in tokens[:-1]] == ["int", "x", ";"]
 
 
 def test_tokenize_boolean_literals():
     tokens = tokenize("true false")
-    assert [t.category for t in tokens[:-1]] == ["boolean-literal", "boolean-literal"]
+    assert [category for category, _, _, _ in tokens[:-1]] == ["boolean-literal", "boolean-literal"]
 
 
 def test_tokenize_char_literals():
-    assert tokenize("'a'")[0].lexeme == "'a'"
-    assert tokenize("'\\n'")[0].lexeme == "'\\n'"
+    assert tokenize("'a'")[0][1] == "'a'"
+    assert tokenize("'\\n'")[0][1] == "'\\n'"
+
+
+@pytest.mark.parametrize(
+    "literal", ["'\\0'", "'\\7'", "'\\77'", "'\\101'", "'\\377'", "'\\u0041'", "'\\uuu00e9'"]
+)
+def test_tokenize_octal_and_unicode_char_escapes(literal):
+    # javac 17 compiles each of these (JLS 3.10.7 and 3.3).
+    end = 5 + len(literal)
+    assert tokenize(f"c = {literal};") == [
+        ("identifier", "c", 1, 1),
+        ("operator", "=", 1, 3),
+        ("char-literal", literal, 1, 5),
+        ("punctuation", ";", 1, end),
+        ("end-of-input", "", 1, end + 1),
+    ]
+
+
+@pytest.mark.parametrize("literal", ["'\\400'", "'\\1012'", "'\\u004'", "'\\u00g1'", "'\\'"])
+def test_tokenize_rejects_char_escapes_javac_rejects(literal):
+    with pytest.raises(LexicalError, match="^1:5: malformed char literal$"):
+        tokenize(f"c = {literal};")
 
 
 def test_tokenize_positions_are_one_based_and_non_decreasing():
     tokens = tokenize("int x;\n  x = 5;\n")
-    assert tokens[0].line == 1 and tokens[0].column == 1
-    positions = [(t.line, t.column) for t in tokens]
+    assert tokens[0][2:] == (1, 1)
+    positions = [(line, column) for _, _, line, column in tokens]
     assert positions == sorted(positions)
     assert all(line >= 1 and column >= 1 for line, column in positions)
 
@@ -94,10 +114,45 @@ def test_tokenize_unterminated_block_comment():
         tokenize("/* never ends")
 
 
+_BLANK_PIECES = (" ", "  ", "\t", " \t", "\r")
+_COMMENTS = ("// note \u00e9\u00b2", "/* c */", "/* two\n\t lines */", "/**/")
+
+
+def _reindented(source: str, rng: random.Random) -> str:
+    """``source`` with each line's indentation replaced by random blanks and
+    comments, random line ends, and blank or comment-only lines between."""
+    lines = []
+    for text in source.split("\n"):
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            filler = rng.choice(("", "\t", " \r", rng.choice(_COMMENTS)))
+            lines.append("".join(rng.choices(_BLANK_PIECES, k=rng.randrange(3))) + filler)
+        indent = "".join(rng.choices(_BLANK_PIECES, k=rng.randrange(4)))
+        if rng.random() < 0.2:  # a block comment, since a line comment would end the line
+            indent += rng.choice(_COMMENTS[1:]) + rng.choice(("", " ", "\t"))
+        line = indent + text.lstrip(" ")
+        if rng.random() < 0.2:
+            line += rng.choice(("", " ", "\t")) + rng.choice(_COMMENTS)
+        lines.append(line)
+    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+
+
+def test_token_positions_point_at_their_lexemes_after_reindenting():
+    rng = random.Random(0x1D3E)
+    for _ in range(300):
+        printed = print_source(random_program_tree(rng))
+        source = _reindented(printed, rng)
+        tokens = tokenize(source)
+        assert [token[:2] for token in tokens] == [token[:2] for token in tokenize(printed)]
+        lines = source.split("\n")
+        for category, lexeme, line, column in tokens[:-1]:
+            assert lines[line - 1][column - 1 :].startswith(lexeme), (category, lexeme, line, column)
+        assert tokens[-1][2:] == (len(lines), len(lines[-1]) + 1)
+
+
 @pytest.mark.parametrize("comment", ["// open", "/* c */"])
 def test_end_of_input_column_follows_a_trailing_comment(comment):
     source = "class A { " + comment
-    assert tokenize(source)[-1].column == len(source) + 1
+    assert tokenize(source)[-1][3] == len(source) + 1
     with pytest.raises(ParseError) as exc:
         parse_source(source)
     assert (exc.value.line, exc.value.column) == (1, 18)
@@ -871,11 +926,6 @@ def test_node_constructor_rejects_unknown_kind():
         AsltNode("FreeFormKind")
 
 
-def test_token_dataclass_shape():
-    token = Token("identifier", "abc", 3, 7)
-    assert (token.category, token.lexeme, token.line, token.column) == ("identifier", "abc", 3, 7)
-
-
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
@@ -889,7 +939,6 @@ def test_records_are_slotted():
     records = (
         location,
         AsltNode(aslt.BLOCK, {}, (), location),
-        Token("identifier", "x", 1, 1),
         call,
         report,
     )
@@ -897,6 +946,17 @@ def test_records_are_slotted():
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
             record.undeclared = "y"
+
+
+def test_tokens_are_plain_tuples():
+    tokens = tokenize("int x;")
+    assert tokens == [
+        ("keyword", "int", 1, 1),
+        ("identifier", "x", 1, 5),
+        ("punctuation", ";", 1, 6),
+        ("end-of-input", "", 1, 7),
+    ]
+    assert all(type(token) is tuple for token in tokens)
 
 
 def test_node_equality_ignores_span():
@@ -916,8 +976,6 @@ def test_node_attributes_default_to_a_fresh_dict():
 def test_records_support_dataclasses_replace():
     span = Location("A.java", 1, 2)
     assert dataclasses.replace(span, column=9) == Location("A.java", 1, 9)
-    token = Token("identifier", "x", 1, 2)
-    assert dataclasses.replace(token, lexeme="yz") == Token("identifier", "yz", 1, 2)
     node = AsltNode(aslt.BLOCK, {"name": "a"}, (AsltNode(aslt.BLOCK),), span)
     renamed = dataclasses.replace(node, attributes={"name": "b"})
     assert renamed.attributes == {"name": "b"}
@@ -933,10 +991,8 @@ def test_nodes_built_without_attributes_get_a_dict_each():
 
 def test_records_keep_their_dataclass_repr_fields_and_hash():
     span = Location("A.java", 1, 2)
-    token = Token("identifier", "x", 1, 2)
     node = AsltNode(aslt.BLOCK)
     assert repr(span) == "Location(file='A.java', line=1, column=2)"
-    assert repr(token) == "Token(category='identifier', lexeme='x', line=1, column=2)"
     assert repr(node) == "AsltNode(kind='Block', attributes={}, children=(), span=None)"
 
     def shape(record_type):
@@ -949,9 +1005,6 @@ def test_records_keep_their_dataclass_repr_fields_and_hash():
     assert shape(Location) == [
         (name, missing, missing, True, True) for name in ("file", "line", "column")
     ]
-    assert shape(Token) == [
-        (name, missing, missing, True, True) for name in ("category", "lexeme", "line", "column")
-    ]
     assert shape(AsltNode) == [
         ("kind", missing, missing, True, True),
         ("attributes", missing, dict, True, True),
@@ -959,7 +1012,6 @@ def test_records_keep_their_dataclass_repr_fields_and_hash():
         ("span", None, missing, False, True),
     ]
     assert hash(span) == hash(("A.java", 1, 2))
-    assert hash(token) == hash(("identifier", "x", 1, 2))
     with pytest.raises(TypeError):
         hash(node)  # the attributes dict takes part in equality
 
@@ -1021,11 +1073,12 @@ def test_reserved_lexemes_have_one_category():
     seen = set()
     for source in _sample_sources():
         for token in tokenize(source):
-            if token.lexeme in reserved:
-                assert token.category == reserved[token.lexeme], token
-                seen.add(token.lexeme)
+            category, lexeme, _, _ = token
+            if lexeme in reserved:
+                assert category == reserved[lexeme], token
+                seen.add(lexeme)
             else:
-                assert token.category not in ("keyword", "punctuation", "operator"), token
+                assert category not in ("keyword", "punctuation", "operator"), token
     assert seen == set(reserved)
 
 
@@ -1065,7 +1118,8 @@ def test_token_mutations_parse_or_raise_a_parse_error():
     rng = random.Random(0x3A7E)
     outcomes = {"parsed": 0, "rejected": 0}
     for _ in range(2000):
-        lexemes = [t.lexeme for t in tokenize(print_source(random_program_tree(rng)))[:-1]]
+        tokens = tokenize(print_source(random_program_tree(rng)))[:-1]
+        lexemes = [lexeme for _, lexeme, _, _ in tokens]
         for _ in range(rng.randrange(1, 4)):
             index = rng.randrange(len(lexemes))
             roll = rng.randrange(4)

@@ -274,11 +274,11 @@ def test_a_directory_named_like_the_source_leaves_its_tree_to_be_read(testbed):
 _MAIN = "import sys; from compatcheck.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _in_child(script, *arguments):
-    """Run ``script`` in a child process, so that a read that blocks fails
-    the test at the timeout instead of hanging the suite."""
+def _in_child(*arguments):
+    """Run Python with ``arguments`` in a child process, so that a read that
+    blocks fails the test at the timeout instead of hanging the suite."""
     return subprocess.run(
-        [sys.executable, "-c", script, *map(str, arguments)],
+        [sys.executable, *map(str, arguments)],
         capture_output=True,
         text=True,
         timeout=30,
@@ -286,24 +286,43 @@ def _in_child(script, *arguments):
     )
 
 
+@pytest.mark.parametrize("module", ["compatcheck", "compatcheck.cli"])
+def test_python_dash_m_runs_the_command(tmp_path, module):
+    root = tmp_path / "m"
+    made = _in_child("-m", module, "testbed", root)
+    assert made.returncode == 0, made.stderr
+    assert sorted(path.name for path in root.iterdir()) == [
+        "SampleClassA.class",
+        "SampleClassA.java",
+        "SampleClassB.class",
+        "SampleClassB.java",
+        "TestBed.class",
+        "TestBed.java",
+        "constants.properties",
+    ]
+    result = _in_child("-m", module, "run", "--config", root / "constants.properties")
+    assert result.returncode == 0, result.stderr
+    assert "0 errors" in result.stdout.splitlines()
+
+
 @pytest.mark.parametrize("name", ["Z.java", "Z.aslt", "Z.class"])
 def test_a_named_pipe_is_a_diagnostic_not_a_wait(testbed, name):
     os.mkfifo(testbed / name)
-    result = _in_child(_MAIN, "run", "--config", testbed / "constants.properties")
+    result = _in_child("-c", _MAIN, "run", "--config", testbed / "constants.properties")
     assert (result.returncode, result.stderr) == (0, f"warning: {name}: not a regular file\n")
     assert not (testbed / "Z.aslt").is_file()
 
 
 def test_aslt_of_a_named_pipe_is_an_error_not_a_wait(tmp_path):
     os.mkfifo(tmp_path / "Z.java")
-    result = _in_child(_MAIN, "aslt", tmp_path / "Z.java")
+    result = _in_child("-c", _MAIN, "aslt", tmp_path / "Z.java")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {tmp_path / 'Z.java'}: not a regular file\n"
 
 
 def test_a_named_pipe_as_the_config_is_an_error_not_a_wait(tmp_path):
     os.mkfifo(tmp_path / "c.properties")
-    result = _in_child(_MAIN, "run", "--config", tmp_path / "c.properties")
+    result = _in_child("-c", _MAIN, "run", "--config", tmp_path / "c.properties")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {tmp_path / 'c.properties'}: not a regular file\n"
 
@@ -311,7 +330,7 @@ def test_a_named_pipe_as_the_config_is_an_error_not_a_wait(tmp_path):
 def test_load_config_file_refuses_a_named_pipe(tmp_path):
     os.mkfifo(tmp_path / "c.properties")
     script = "import sys; from compatcheck.config import load_config_file; load_config_file(sys.argv[1])"
-    result = _in_child(script, tmp_path / "c.properties")
+    result = _in_child("-c", script, tmp_path / "c.properties")
     assert result.returncode == 1
     assert result.stderr.endswith("\nOSError: not a regular file\n")
 
@@ -484,6 +503,21 @@ def test_overloaded_caller_methods_compose_cleanly(tmp_path, capsys):
     (tmp_path / "c.properties").write_text("PathToApplication=.\n", encoding="utf-8")
     assert main(["run", "--config", str(tmp_path / "c.properties")]) == 0
     assert capsys.readouterr() == ("0 errors\n", "")
+
+
+@pytest.mark.parametrize("literal", ["'\\101'", "'\\0'", "'\\377'", "'\\u0041'", "'\\uu00E9'"])
+def test_octal_and_unicode_char_escapes_pass_into_a_char_parameter(tmp_path, literal):
+    source = "class A { void m() { B b = new B(); b.put(%s); } }" % literal
+    (tmp_path / "A.java").write_text(source, encoding="utf-8")
+    b = ClassInfo(
+        "B",
+        methods=(MethodSignature("<init>", (), VOID), MethodSignature("put", (TypeName("char"),), VOID)),
+    )
+    (tmp_path / "B.class").write_bytes(emit_classfile(b))
+    run = run_analysis(ProjectConfig(path_to_application=tmp_path))
+    calls = [c.argument_types for c in run.call_sites if c.invoked_name == "put"]
+    assert calls == [(TypeName("char"),)]
+    assert (run.diagnostics, run.reports, run.exit_code) == ([], [], 0)
 
 
 # A bare call inside a packaged class targets that class by its qualified

@@ -54,6 +54,7 @@ COMPONENTS = {
     "K.java": 'class K { String label(int n) { return "n=" + n; } }',
     # In modified UTF-8 the first constant is a surrogate pair, the second C0 80.
     "E.java": 'class E { String smile() { return "\U0001F600"; } String nul() { return "\\0"; } }',
+    "CharB.java": "class CharB { void put(char c) { } }",
 }
 
 
@@ -84,6 +85,7 @@ SURFACE = {
         ),
         _surface("K", MethodSignature("label", (INT,), STRING)),
         _surface("E", MethodSignature("smile", (), STRING), MethodSignature("nul", (), STRING)),
+        _surface("CharB", MethodSignature("put", (TypeName("char"),), VOID)),
     )
 }
 
@@ -153,6 +155,14 @@ COMPOSITIONS = {
     "supplementary-string": (
         ["E"],
         {"UseE.java": "class UseE { void m() { E e = new E(); String r = e.smile(); } }"},
+    ),
+    # Octal escapes (JLS 3.10.7) and Unicode escapes (JLS 3.3) in char literals.
+    "char-escapes": (
+        ["CharB"],
+        {
+            "UseCharB.java": "class UseCharB { void m() { CharB b = new CharB(); "
+            "b.put('\\0'); b.put('\\101'); b.put('\\377'); b.put('\\u0041'); b.put('\\uu00e9'); } }"
+        },
     ),
 }
 
