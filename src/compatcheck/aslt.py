@@ -184,10 +184,15 @@ _PUNCTUATION = frozenset(";,(){}[].")
 # The blanks that start a line, skipped in one match after each newline.
 _INDENTATION = re.compile(r"[ \t\r]*")
 
-# The escape of a char literal, from its backslash: an octal escape up to
-# \377 (JLS 3.10.7) or a Unicode escape (JLS 3.3); any other character after
-# the backslash is taken as a one-character escape.
-_CHAR_ESCAPE = re.compile(r"\\(?:[0-3][0-7]{0,2}|[4-7][0-7]?|u+[0-9A-Fa-f]{4}|.)", re.DOTALL)
+# The literals, each matched whole from its first character.  A number is
+# spelled in ASCII digits (JLS 3.10.1-2).  A string literal ends on the line
+# where it starts.  A char literal holds one character or escape and no line
+# break: an octal escape up to \377 (JLS 3.10.7), a Unicode escape (JLS
+# 3.3), or any other character after the backslash, taken as a one-character
+# escape.
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
+_STRING = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+_CHAR = re.compile(r"'(?:[^'\\\n]|\\(?:[0-3][0-7]{0,2}|[4-7][0-7]?|u+[0-9A-Fa-f]{4}|.))'")
 
 
 def tokenize(source: str) -> list[tuple[str, str, int, int]]:
@@ -217,31 +222,25 @@ def tokenize(source: str) -> list[tuple[str, str, int, int]]:
             i += 1
             continue
         if c == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                column += 1
+            j = source.find("\n", i)
+            j = n if j < 0 else j
+            column += j - i
+            i = j
             continue
         if c == "/" and source.startswith("/*", i):
-            start_line, start_column = line, column
-            i += 2
-            column += 2
-            while True:
-                if i >= n:
-                    raise LexicalError("unterminated block comment", start_line, start_column)
-                if source[i] == "\n":
-                    line += 1
-                    column = 1
-                    i += 1
-                elif source.startswith("*/", i):
-                    i += 2
-                    column += 2
-                    break
-                else:
-                    column += 1
-                    i += 1
+            j = source.find("*/", i + 2)
+            if j < 0:
+                raise LexicalError("unterminated block comment", line, column)
+            j += 2
+            newlines = source.count("\n", i, j)
+            if newlines:
+                line += newlines
+                column = j - source.rfind("\n", i, j)
+            else:
+                column += j - i
+            i = j
             continue
 
-        start_line, start_column = line, column
         if c.isalpha() or c == "_":
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
@@ -253,62 +252,39 @@ def tokenize(source: str) -> list[tuple[str, str, int, int]]:
                 category = "keyword"
             else:
                 category = "identifier"
-            tokens.append((category, word, start_line, start_column))
+            tokens.append((category, word, line, column))
             column += j - i
             i = j
-        elif c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            category = "integer-literal"
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                category = "floating-literal"
-            tokens.append((category, source[i:j], start_line, start_column))
-            column += j - i
-            i = j
+            continue
+        if c in "0123456789":
+            literal = _NUMBER.match(source, i)
+            category = "floating-literal" if literal[1] else "integer-literal"
         elif c == '"':
-            j = i + 1
-            while True:
-                if j >= n or source[j] == "\n":
-                    raise LexicalError("unterminated string literal", start_line, start_column)
-                if source[j] == "\\":
-                    if j + 1 >= n or source[j + 1] == "\n":
-                        raise LexicalError("unterminated string literal", start_line, start_column)
-                    j += 2
-                    continue
-                if source[j] == '"':
-                    break
-                j += 1
-            lexeme = source[i : j + 1]
-            tokens.append(("string-literal", lexeme, start_line, start_column))
-            column += len(lexeme)
-            i = j + 1
+            literal = _STRING.match(source, i)
+            if literal is None:
+                raise LexicalError("unterminated string literal", line, column)
+            category = "string-literal"
         elif c == "'":
-            j = i + 1
-            if j < n and source[j] == "\\":
-                escape = _CHAR_ESCAPE.match(source, j)
-                j = escape.end() if escape else n
-            elif j < n and source[j] not in ("'", "\n"):
-                j += 1
-            if j >= n or source[j] != "'":
-                raise LexicalError("malformed char literal", start_line, start_column)
-            lexeme = source[i : j + 1]
-            tokens.append(("char-literal", lexeme, start_line, start_column))
-            column += len(lexeme)
-            i = j + 1
+            literal = _CHAR.match(source, i)
+            if literal is None:
+                raise LexicalError("malformed char literal", line, column)
+            category = "char-literal"
         elif c in _PUNCTUATION:
-            tokens.append(("punctuation", c, start_line, start_column))
+            tokens.append(("punctuation", c, line, column))
             column += 1
             i += 1
+            continue
         elif c == "=":
-            tokens.append(("operator", "=", start_line, start_column))
+            tokens.append(("operator", "=", line, column))
             column += 1
             i += 1
+            continue
         else:
             raise LexicalError(f"illegal character {c!r}", line, column)
+        lexeme = literal.group()
+        tokens.append((category, lexeme, line, column))
+        column += len(lexeme)
+        i += len(lexeme)
     tokens.append((END_OF_INPUT, "", line, column))
     return tokens
 
@@ -700,50 +676,45 @@ def write_aslt(tree: AsltNode) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One attribute, from the space before it: its name, then ="value" without
+# the closing quote.  The value stops at that quote, at a backslash not
+# followed by a backslash, a quote or n, or at the end of the line.  Across
+# all of Unicode, \w is exactly str.isalnum() or "_".
+_ATTRIBUTE = re.compile(r' (\w*)(="((?:[^"\\]|\\[\\"n])*))?')
+_ESCAPED = re.compile(r'\\([\\"n])')
+
+
 def _parse_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
     """The kind and attributes of one node line, without its indentation.
 
-    The line is read one character at a time, and the first fault found is
-    raised as an :class:`AsltFormatError` on ``line_number``.
+    Each attribute is one match of ``_ATTRIBUTE``, and where the match stops
+    tells the first fault, which is raised as an :class:`AsltFormatError` on
+    ``line_number``.
     """
     cut = rest.find(" ")
     kind = rest if cut < 0 else rest[:cut]
     if kind not in NODE_KINDS:
         raise AsltFormatError(line_number, f"unknown node kind {kind!r}")
     attributes: dict[str, str] = {}
-    pos = len(kind)
-    while pos < len(rest):
-        if rest[pos] != " ":
+    pos, end = len(kind), len(rest)
+    while pos < end:
+        attribute = _ATTRIBUTE.match(rest, pos)
+        if attribute is None:
             raise AsltFormatError(line_number, "expected a space before the next attribute")
-        pos += 1
-        start = pos
-        while pos < len(rest) and (rest[pos].isalnum() or rest[pos] == "_"):
-            pos += 1
-        name = rest[start:pos]
+        name, written, value = attribute.groups()
         if not name or name[0].isdigit():
             raise AsltFormatError(line_number, "expected an attribute name")
-        if not rest.startswith('="', pos):
+        if written is None:
             raise AsltFormatError(line_number, f'attribute {name!r} must be written name="value"')
-        pos += 2
-        value: list[str] = []
-        while True:
-            if pos >= len(rest):
-                raise AsltFormatError(line_number, f"unterminated value for attribute {name!r}")
-            c = rest[pos]
-            if c == '"':
-                pos += 1
-                break
-            if c == "\\":
-                if pos + 1 >= len(rest) or rest[pos + 1] not in _UNESCAPE:
-                    raise AsltFormatError(line_number, f"bad escape in attribute {name!r}")
-                value.append(_UNESCAPE[rest[pos + 1]])
-                pos += 2
-            else:
-                value.append(c)
-                pos += 1
+        pos = attribute.end()
+        if pos == end:
+            raise AsltFormatError(line_number, f"unterminated value for attribute {name!r}")
+        if rest[pos] != '"':
+            raise AsltFormatError(line_number, f"bad escape in attribute {name!r}")
         if name in attributes:
             raise AsltFormatError(line_number, f"duplicate attribute {name!r}")
-        attributes[name] = "".join(value)
+        attributes[name] = _ESCAPED.sub(lambda escape: _UNESCAPE[escape[1]], value)
+        pos += 1
     return kind, attributes
 
 

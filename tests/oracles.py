@@ -31,6 +31,7 @@ from compatcheck.aslt import (
     METHOD_DECLARATION,
     METHOD_INVOKE_EXPRESSION,
     NEW_OBJECT_EXPRESSION,
+    NODE_KINDS,
     PACKAGE_DECLARATION,
     PARAMETER_DECLARATION,
     RETURN_STATEMENT,
@@ -40,7 +41,6 @@ from compatcheck.aslt import (
     AsltFormatError,
     AsltNode,
     Location,
-    _parse_aslt_line,
 )
 from compatcheck.classfile import ClassInfo, Diagnostic, TypeName
 
@@ -421,14 +421,59 @@ def oracle_preorder(node: AsltNode) -> list[AsltNode]:
     return nodes
 
 
+_ORACLE_UNESCAPE = {"\\": "\\", '"': '"', "n": "\n"}
+
+
+def oracle_parse_aslt_line(rest: str, line_number: int) -> tuple[str, dict[str, str]]:
+    """The kind and attributes of one node line, without its indentation,
+    read one character at a time; the first fault found is raised as an
+    :class:`AsltFormatError` on ``line_number``."""
+    cut = rest.find(" ")
+    kind = rest if cut < 0 else rest[:cut]
+    if kind not in NODE_KINDS:
+        raise AsltFormatError(line_number, f"unknown node kind {kind!r}")
+    attributes: dict[str, str] = {}
+    pos = len(kind)
+    while pos < len(rest):
+        if rest[pos] != " ":
+            raise AsltFormatError(line_number, "expected a space before the next attribute")
+        pos += 1
+        start = pos
+        while pos < len(rest) and (rest[pos].isalnum() or rest[pos] == "_"):
+            pos += 1
+        name = rest[start:pos]
+        if not name or name[0].isdigit():
+            raise AsltFormatError(line_number, "expected an attribute name")
+        if not rest.startswith('="', pos):
+            raise AsltFormatError(line_number, f'attribute {name!r} must be written name="value"')
+        pos += 2
+        value: list[str] = []
+        while True:
+            if pos >= len(rest):
+                raise AsltFormatError(line_number, f"unterminated value for attribute {name!r}")
+            c = rest[pos]
+            if c == '"':
+                pos += 1
+                break
+            if c == "\\":
+                if pos + 1 >= len(rest) or rest[pos + 1] not in _ORACLE_UNESCAPE:
+                    raise AsltFormatError(line_number, f"bad escape in attribute {name!r}")
+                value.append(_ORACLE_UNESCAPE[rest[pos + 1]])
+                pos += 2
+            else:
+                value.append(c)
+                pos += 1
+        if name in attributes:
+            raise AsltFormatError(line_number, f"duplicate attribute {name!r}")
+        attributes[name] = "".join(value)
+    return kind, attributes
+
+
 def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
     """``.aslt`` text to a tree in two passes: every line is checked and
     parsed into a list first, and the tree is built from that list, so a bad
     line anywhere is reported ahead of a fault in the indentation structure.
-
-    It shares ``_parse_aslt_line`` with the package, whose own fuzz test
-    checks it; what this reference pins is the order of the checks, the
-    structure and the node positions."""
+    Each line is read by :func:`oracle_parse_aslt_line`."""
     parsed: dict[str, tuple[str, dict[str, str]]] = {}
     entries: list[tuple[int, str, dict[str, str], Location]] = []
     for line_number, raw in enumerate(text.split("\n"), start=1):
@@ -442,7 +487,7 @@ def oracle_read_aslt(text: str, file_name: str = "") -> AsltNode:
             raise AsltFormatError(line_number, f"nesting deeper than {MAX_DEPTH} levels")
         seen = parsed.get(rest)
         if seen is None:
-            kind, attributes = parsed[rest] = _parse_aslt_line(rest, line_number)
+            kind, attributes = parsed[rest] = oracle_parse_aslt_line(rest, line_number)
         else:
             kind, attributes = seen[0], seen[1].copy()
         span = Location(file_name, line_number, 1)

@@ -1443,3 +1443,9 @@ def test_class_info_from_tree_qualifies_simple_supertypes_by_the_package(source,
     info = analysis.class_info_from_tree(parse_source(source, file_name="B.java"))
     assert (info.superclass_name, info.interface_names) == (superclass, interfaces)
     assert parse_classfile(emit_classfile(info)) == info
+
+
+def test_class_info_from_tree_refuses_a_unit_without_a_class():
+    unit = aslt.AsltNode(aslt.COMPILATION_UNIT, {"file": "P.java"})
+    with pytest.raises(ValueError, match="^compilation unit contains no class declaration$"):
+        analysis.class_info_from_tree(unit)

@@ -18,7 +18,7 @@ from compatcheck.aslt import (
 )
 from compatcheck.classfile import TypeName
 
-from oracles import oracle_preorder, oracle_read_aslt
+from oracles import oracle_parse_aslt_line, oracle_preorder, oracle_read_aslt
 from printer import MalformedTreeError, print_source
 from randgen import random_program_tree, random_serial_tree
 
@@ -89,10 +89,30 @@ def test_tokenize_octal_and_unicode_char_escapes(literal):
     ]
 
 
-@pytest.mark.parametrize("literal", ["'\\400'", "'\\1012'", "'\\u004'", "'\\u00g1'", "'\\'"])
+# javac 17 rejects each of these; the last two with compiler.err.empty.char.lit
+# and compiler.err.illegal.esc.char.
+@pytest.mark.parametrize(
+    "literal", ["'\\400'", "'\\1012'", "'\\u004'", "'\\u00g1'", "'\\'", "''", "'\\\n'"]
+)
 def test_tokenize_rejects_char_escapes_javac_rejects(literal):
     with pytest.raises(LexicalError, match="^1:5: malformed char literal$"):
         tokenize(f"c = {literal};")
+
+
+# javac 17 rejects digits outside ASCII (compiler.err.illegal.char and
+# compiler.err.illegal.nonascii.digit), in a number or on their own.
+@pytest.mark.parametrize(
+    "source, column",
+    [
+        ("class Bad { int x = \u00b2; }", 21),
+        ("class Bad { int x = \u0663; }", 21),
+        ("class Bad { int x = 1\u00b2; }", 22),
+        ("class Bad { double x = 1.\u0663; }", 26),
+    ],
+)
+def test_tokenize_rejects_digits_outside_ascii(source, column):
+    with pytest.raises(LexicalError, match=f"^1:{column}: illegal character '{source[column - 1]}'$"):
+        tokenize(source)
 
 
 def test_tokenize_positions_are_one_based_and_non_decreasing():
@@ -107,6 +127,12 @@ def test_tokenize_unterminated_string():
     with pytest.raises(LexicalError) as exc:
         tokenize('String s = "oops;\n')
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("rest", ["\\", "\\\n\";", "\\\r\n\";"])
+def test_tokenize_a_string_whose_backslash_ends_its_line_is_unterminated(rest):
+    with pytest.raises(LexicalError, match="^1:22: unterminated string literal$"):
+        tokenize('class A { String s = "ab' + rest)
 
 
 def test_tokenize_unterminated_block_comment():
@@ -300,6 +326,12 @@ def test_parse_rejects_void_variable():
         assert str(caught.value) == (
             f"1:{column}: void is only valid as a method return type (expected type name)"
         )
+
+
+def test_parse_rejects_an_array_of_void():
+    with pytest.raises(ParseError) as caught:
+        parse_source("class A { void[] x; }")
+    assert str(caught.value) == "1:11: array of void is not a type"
 
 
 def test_parse_rejects_void_parameter():
@@ -572,19 +604,30 @@ def _random_node_line(rng: random.Random) -> str:
     return line
 
 
+def _read_line(parse, line: str) -> tuple[str, dict[str, str]] | str:
+    """What ``parse`` makes of a node line: its kind and attributes, or its error message."""
+    try:
+        return parse(line, 7)
+    except AsltFormatError as exc:
+        assert exc.line_number == 7, line
+        return str(exc)
+
+
 def test_random_node_lines_read_back_or_raise_a_format_error():
+    # Each line reads as the character-loop oracle reads it: the same kind
+    # and attributes, or the same message.
     rng = random.Random(0xA517)
     lines = 100_000
     rejected = 0
     for _ in range(lines):
         line = _random_node_line(rng)
-        try:
-            kind, attributes = aslt._parse_aslt_line(line, 7)
-        except AsltFormatError as exc:
-            assert exc.line_number == 7, line
-            assert str(exc).startswith("line 7: "), line
+        read = _read_line(aslt._parse_aslt_line, line)
+        assert read == _read_line(oracle_parse_aslt_line, line), line
+        if isinstance(read, str):
+            assert read.startswith("line 7: "), line
             rejected += 1
             continue
+        kind, attributes = read
         node = AsltNode(kind, attributes)
         assert read_aslt(write_aslt(node)) == node, line
     # Both outcomes are common: the writer's shapes parse, near misses do not.
@@ -786,6 +829,18 @@ def test_parse_accepts_nesting_at_the_bound():
 def test_parse_rejects_nesting_past_the_bound(levels):
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse_source(nested_calls(levels))
+
+
+def test_parse_bounds_the_argument_list_of_a_declarator_call():
+    # A declarator's call sits at level 6, so call k is at 4 + 2k and its
+    # argument list one level deeper: the 48th list would be at level 101.
+    def source(calls):
+        return "class A { void m() { int x = " + "f(" * calls + ")" * calls + "; } }"
+
+    assert deepest_level(parse_source(source(47))) == aslt.MAX_DEPTH - 1
+    with pytest.raises(ParseError) as caught:
+        parse_source(source(48))
+    assert str(caught.value) == f"1:125: nesting deeper than {aslt.MAX_DEPTH} levels"
 
 
 def test_read_accepts_nesting_at_the_bound():

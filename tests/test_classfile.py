@@ -56,6 +56,15 @@ def test_type_name_rejects_void_array():
         TypeName("void", 1)
 
 
+@pytest.mark.parametrize(
+    "arguments, message",
+    [(("",), "type name must be non-empty"), (("int", -1), "array dimension count must be >= 0")],
+)
+def test_type_name_rejects_an_empty_name_and_negative_dims(arguments, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TypeName(*arguments)
+
+
 def test_type_name_hash_is_the_hash_of_its_name_and_dims():
     for type_name in (TypeName("int"), TypeName("java.lang.String", 2), VOID):
         assert hash(type_name) == hash((type_name.name, type_name.dims))
@@ -325,6 +334,19 @@ def test_emit_rejects_slash_in_name():
         emit_classfile(ClassInfo("bad/name"))
 
 
+@pytest.mark.parametrize(
+    "info, message",
+    [
+        (ClassInfo(""), "class name must be non-empty"),
+        (ClassInfo("A", fields=(FieldMember("", TypeName("int")),)), "field name must be non-empty"),
+        (ClassInfo("A", methods=(MethodSignature(""),)), "method name must be non-empty"),
+    ],
+)
+def test_emit_rejects_an_empty_name(info, message):
+    with pytest.raises(InvalidClassInfoError, match=f"^{message}$"):
+        emit_classfile(info)
+
+
 # Names outside ASCII, or holding NUL, in every place a name is written: the
 # class, a field, a method and a type in a descriptor.
 @pytest.mark.parametrize(
@@ -414,14 +436,18 @@ def _utf8(raw):
     return b"\x01" + _u2(len(raw)) + raw
 
 
-def _class_file(pool, methods=()):
+def _members(members):
+    return _u2(len(members)) + b"".join(_u2(f) + _u2(n) + _u2(d) + _u2(0) for f, n, d in members)
+
+
+def _class_file(pool, methods=(), fields=(), this_class=2):
     """Class ``T`` with ``pool`` after its own entries #1 (Utf8 "T") and #2
-    (its Class), and ``methods`` as (flags, name index, descriptor index)."""
+    (its Class), and ``fields`` and ``methods`` as (flags, name index,
+    descriptor index); ``this_class`` names the class's own entry."""
     out = b"\xca\xfe\xba\xbe" + _u2(0) + _u2(61) + _u2(3 + len(pool))
     out += _utf8(b"T") + b"\x07" + _u2(1) + b"".join(pool)
-    out += _u2(0x21) + _u2(2) + _u2(0) + _u2(0) + _u2(0)  # flags, this, super, interfaces, fields
-    out += _u2(len(methods)) + b"".join(_u2(f) + _u2(n) + _u2(d) + _u2(0) for f, n, d in methods)
-    return out + _u2(0)
+    out += _u2(0x21) + _u2(this_class) + _u2(0) + _u2(0)  # flags, this, super, interfaces
+    return out + _members(fields) + _members(methods) + _u2(0)
 
 
 def test_pool_tags_15_to_20_are_read_past():
@@ -442,6 +468,27 @@ def test_pool_tags_15_to_20_are_read_past():
     for tag in (2, 13, 14, 21):
         with pytest.raises(ClassFileError, match=f"constant #3: unsupported tag {tag}$"):
             parse_classfile(_class_file([bytes([tag]) + _u2(1)]))
+
+
+@pytest.mark.parametrize(
+    "pool, this_class, message",
+    [
+        ([], 1, "constant #1: expected a Class entry"),
+        ([_utf8(b""), b"\x07" + _u2(3)], 4, "constant #4: empty class name"),
+    ],
+)
+def test_the_class_entry_must_name_a_class(pool, this_class, message):
+    with pytest.raises(ClassFileError, match=f"^{message}$"):
+        parse_classfile(_class_file(pool, this_class=this_class))
+
+
+def test_a_field_descriptor_with_trailing_data_is_rejected():
+    # Field x: name #3, descriptor #4.
+    info = parse_classfile(_class_file([_utf8(b"x"), _utf8(b"I")], fields=[(0, 3, 4)]))
+    assert info.fields == (FieldMember("x", TypeName("int")),)
+    message = "^descriptor error at offset 1: trailing data after field type$"
+    with pytest.raises(DescriptorError, match=message):
+        parse_classfile(_class_file([_utf8(b"x"), _utf8(b"II")], fields=[(0, 3, 4)]))
 
 
 def test_modified_utf8_decodes_nul_and_surrogate_pairs():

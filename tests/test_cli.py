@@ -89,6 +89,15 @@ def test_testbed_generation_is_deterministic(tmp_path):
         assert path.read_bytes() == (second / path.name).read_bytes()
 
 
+def test_testbed_into_a_path_under_a_regular_file_is_an_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    target = tmp_path / "file" / "testbed"
+    with pytest.raises(OSError) as caught:
+        gen_testbed(target)
+    assert main(["testbed", str(target)]) == 2
+    assert capsys.readouterr() == ("", f"error: {caught.value}\n")
+
+
 def test_testbed_class_files_expose_expected_surface(testbed):
     info = parse_classfile((testbed / "SampleClassB.class").read_bytes())
     assert info.qualified_name == "SampleClassB"

@@ -269,3 +269,28 @@ def test_a_sample_of_the_jdk_class_files_parses():
                 failures[name] = str(exc)
     assert len(sample) > 100
     assert failures == {}
+
+
+# Callers whose one literal javac rejects: an empty char literal, a backslash
+# before a line break in a char literal, and digits outside ASCII.
+REJECTED_LITERALS = {
+    "EmptyChar.java": "class EmptyChar { char c = ''; }",
+    "BrokenEscape.java": "class BrokenEscape { char c = '\\\n'; }",
+    "Superscript.java": "class Superscript { int x = ²; }",
+    "ArabicIndic.java": "class ArabicIndic { int x = ٣; }",
+}
+
+
+def test_literals_javac_rejects_leave_their_callers_unanalysed(tmp_path):
+    for name, text in REJECTED_LITERALS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    result = _javac("-encoding", "UTF-8", "-XDrawDiagnostics", "-d", "out", *REJECTED_LITERALS, cwd=tmp_path)
+    rejected = {match["file"] for match in _DIAGNOSTIC.finditer(result.stdout + result.stderr)}
+    assert rejected == set(REJECTED_LITERALS)
+    # Beside a caller that parses, each one is a warning and leaves no tree.
+    (tmp_path / "Good.java").write_text("class Good { }", encoding="utf-8")
+    run = run_analysis(ProjectConfig(path_to_application=tmp_path))
+    assert sorted((d.file, d.fatal) for d in run.diagnostics) == sorted(
+        (name, False) for name in REJECTED_LITERALS
+    )
+    assert list(run.aslt_trees) == ["Good.java"]
